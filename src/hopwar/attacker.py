@@ -8,8 +8,8 @@ the channel is enough, so a successful jam still reads as a hit.
 
 Strategies never see the victim's channel directly; they only learn through
 their own sensing. The one exception is the oracle, which models the
-strongest possible adversary and reads the victim's channel each slot,
-delayed only by its re-tune lag.
+strongest possible adversary and reads the victim's channel each slot with
+no lag; only its burst/cooldown duty cycle keeps it off the victim.
 """
 
 from __future__ import annotations

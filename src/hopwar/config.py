@@ -8,6 +8,7 @@ applied on top of whatever the file sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -146,6 +147,18 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ScenarioConf
 
 
 def validate(config: ScenarioConfig) -> None:
+    # NaN passes every range check below and inf overflows the slot counts,
+    # so non-finite values are rejected before anything else looks at them.
+    non_finite = [
+        key for key, kind in _FIELD_TYPES.items() if kind is float and not math.isfinite(getattr(config, key))
+    ]
+    if non_finite:
+        raise ConfigError(f"must be finite: {', '.join(non_finite)}")
+    if config.slot_s > 0 and not all(
+        math.isfinite(seconds / config.slot_s)
+        for seconds in (config.sim_duration_s, config.attack_start_s, config.hop_enable_s)
+    ):
+        raise ConfigError("slot counts overflow: durations are too long for slot_s")
     problems = []
     if config.num_channels < 2:
         problems.append("num_channels must be at least 2")

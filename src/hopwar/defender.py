@@ -95,11 +95,11 @@ class Defender:
         self._streak = 0
         self._since_home = 0
         self._burned: deque[int] = deque(maxlen=SMART_AVOID_RECENT)
-        self._succ: np.ndarray | None = None
-        self._fail: np.ndarray | None = None
+        self._succ: list[float] | None = None
+        self._fail: list[float] | None = None
         if self.strategy is HopStrategy.SMART:
-            self._succ = np.zeros(num_channels)
-            self._fail = np.zeros(num_channels)
+            self._succ = [0.0] * num_channels
+            self._fail = [0.0] * num_channels
 
     @property
     def pdr(self) -> float:
@@ -145,11 +145,12 @@ class Defender:
         self._streak = 0
         self._since_home = 0
         self._burned.append(self.home)
-        means = (1.0 + self._succ) / (2.0 + self._succ + self._fail)
+        means = [(1.0 + s) / (2.0 + s + f) for s, f in zip(self._succ, self._fail)]
         means[self.home] = -1.0
         for ch in self._burned:
             means[ch] = -1.0
-        self.home = int(np.argmax(means))
+        # First maximum, as the lowest index wins a tie.
+        self.home = means.index(max(means))
         self.hops += 1
         self._probing = False
         self.channel = self.home
@@ -183,9 +184,8 @@ class Defender:
 
     def _learn(self, delivered: bool) -> None:
         """Update the adaptive policy's decayed evidence with this slot."""
-        assert self._succ is not None and self._fail is not None
-        self._succ *= SMART_SUCCESS_DECAY
-        self._fail *= SMART_FAILURE_DECAY
+        self._succ = [s * SMART_SUCCESS_DECAY for s in self._succ]
+        self._fail = [f * SMART_FAILURE_DECAY for f in self._fail]
         channel = self.channel
         if delivered:
             self._succ[channel] += 1.0

@@ -68,7 +68,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
         oracle_burst=config.oracle_burst_slots,
         oracle_cooldown=config.oracle_cooldown_slots,
     )
-    radio = config.radio_profile()
+    loss_prob = config.loss_prob
 
     num_slots = config.num_slots
     attack_start = config.attack_start_slot
@@ -102,15 +102,15 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
         else:
             emit = None
             sense = None
-        out = resolve_slot(tx, True, emit, radio, phy_rng)
-        fired = record(out.delivered)
+        slot_delivered, slot_jammed = resolve_slot(tx, emit, loss_prob, phy_rng)
+        fired = record(slot_delivered)
         transmitted += 1
-        if out.delivered:
+        if slot_delivered:
             delivered += 1
             if pop_retry():
                 recovered += 1
         else:
-            if out.jammed:
+            if slot_jammed:
                 jammed += 1
             queue_retry()
         if fired:
@@ -123,9 +123,9 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
             pdr_now = defender.pdr
             pdr_series.append((t_s, pdr_now))
             if trace is not None:
-                if out.jammed:
+                if slot_jammed:
                     outcome = "jammed"
-                elif out.delivered:
+                elif slot_delivered:
                     outcome = "delivered"
                 else:
                     outcome = "lost"

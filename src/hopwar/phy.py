@@ -1,9 +1,10 @@
 """Abstract slot-level physical layer.
 
 One packet occupies one slot. A transmission fails iff a jammer emits on the
-same channel in the same slot (or the optional random-loss knob fires).
-There is no capture, no partial overlap, no noise floor modeling: sensing
-reduces to fixed RSSI levels compared against an occupancy threshold.
+same channel in the same slot (or the optional random-loss knob fires on an
+otherwise clean slot). There is no capture, no partial overlap and no noise
+floor: the attacker's sensing is modelled in the engine as a plain channel
+comparison, so a slot reduces to two booleans.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class RadioProfile:
-    """RSSI levels (dBm) seen by the receivers and the sensing threshold."""
+    """RSSI levels (dBm) of the radio model and the random-loss probability."""
 
     rssi_clean_dbm: float = -40.0
     rssi_jammed_dbm: float = -120.0
@@ -25,59 +26,22 @@ class RadioProfile:
     loss_prob: float = 0.0
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
-    delivered: bool
-    jammed: bool
-    rssi_victim_dbm: float
-    rssi_jammer_dbm: float
-    jammer_sensed_busy: bool
-
-
-def sense_rssi(channel: int, tx_channel: int, tx_active: bool, profile: RadioProfile) -> float:
-    """RSSI a listener tuned to ``channel`` reads during the slot."""
-    if tx_active and channel == tx_channel:
-        return profile.rssi_occupied_dbm
-    return profile.rssi_idle_dbm
-
-
 def resolve_slot(
     tx_channel: int,
-    tx_active: bool,
     jam_channel: int | None,
-    profile: RadioProfile,
-    rng: np.random.Generator | None = None,
-) -> SlotOutcome:
-    """Resolve one slot.
+    loss_prob: float,
+    rng: np.random.Generator,
+) -> tuple[bool, bool]:
+    """Resolve one slot of the victim's transmission; return ``(delivered, jammed)``.
 
     ``jam_channel`` is the channel the attacker emits on this slot, or None
-    when it stays silent (listening or idle). The jammer side of the outcome
-    reports what the attacker senses on its emission channel; that sensing
-    needs no acknowledgment traffic, so a jam on the victim's channel is
-    observable by the jammer even though the packet dies.
+    when it stays silent (listening or idle). A jam always wins over random
+    loss. ``rng`` is drawn from exactly once per unjammed slot when
+    ``loss_prob > 0``, and never otherwise, so the loss stream advances
+    only on slots where loss can strike.
     """
-    jammed = tx_active and jam_channel == tx_channel
-    delivered = tx_active and not jammed
-    if delivered and profile.loss_prob > 0.0 and rng is not None:
-        if rng.random() < profile.loss_prob:
-            delivered = False
-
-    if not tx_active:
-        rssi_victim = profile.rssi_idle_dbm
-    elif jammed:
-        rssi_victim = profile.rssi_jammed_dbm
-    else:
-        rssi_victim = profile.rssi_clean_dbm
-
-    if jam_channel is None:
-        rssi_jammer = profile.rssi_idle_dbm
-    else:
-        rssi_jammer = sense_rssi(jam_channel, tx_channel, tx_active, profile)
-
-    return SlotOutcome(
-        delivered=delivered,
-        jammed=jammed,
-        rssi_victim_dbm=rssi_victim,
-        rssi_jammer_dbm=rssi_jammer,
-        jammer_sensed_busy=rssi_jammer > profile.occupancy_threshold_dbm,
-    )
+    if jam_channel == tx_channel:
+        return False, True
+    if loss_prob > 0.0 and rng.random() < loss_prob:
+        return False, False
+    return True, False

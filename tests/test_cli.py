@@ -108,3 +108,15 @@ def test_console_entry_point_runs(config_file, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["slot_s = nan", "attack_start_s = nan", "hop_enable_s = nan", "sim_duration_s = inf"],
+)
+def test_non_finite_config_value_is_exit_1(tmp_path, capsys, line):
+    # An uncaught ValueError or OverflowError would fail the test here.
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("hopwar: config error: must be finite")

@@ -91,12 +91,22 @@ def test_load_config_validates(tmp_path):
         ("retrain_trigger", 1.0),
         ("oracle_burst_slots", 0),
         ("oracle_cooldown_slots", -1),
+        ("slot_s", float("nan")),
+        ("attack_start_s", float("nan")),
+        ("hop_enable_s", float("nan")),
+        ("sim_duration_s", float("inf")),
+        ("p_idle_w", float("-inf")),
     ],
 )
 def test_validation_rejects(field, value):
     cfg = ScenarioConfig(**{field: value})
     with pytest.raises(ConfigError):
         validate(cfg)
+
+
+def test_validation_rejects_slot_counts_that_overflow():
+    with pytest.raises(ConfigError, match="overflow"):
+        validate(ScenarioConfig(sim_duration_s=1e300, slot_s=1e-10))
 
 
 def test_profile_builders_carry_the_config_values():

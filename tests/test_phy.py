@@ -1,76 +1,80 @@
 import numpy as np
 import pytest
 
-from hopwar.phy import RadioProfile, resolve_slot, sense_rssi
+from hopwar.phy import RadioProfile, resolve_slot
 
-PROFILE = RadioProfile()
+
+class CountingRng:
+    """Forwards ``random()`` to a real generator and counts the draws."""
+
+    def __init__(self, seed: int = 0) -> None:
+        self._rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self._rng.random()
 
 
 def test_clean_delivery():
-    out = resolve_slot(3, True, None, PROFILE)
-    assert out.delivered and not out.jammed
-    assert out.rssi_victim_dbm == PROFILE.rssi_clean_dbm
-    assert out.rssi_jammer_dbm == PROFILE.rssi_idle_dbm
-    assert not out.jammer_sensed_busy
+    assert resolve_slot(3, None, 0.0, CountingRng()) == (True, False)
 
 
 def test_jam_on_same_channel_kills_the_packet():
-    out = resolve_slot(3, True, 3, PROFILE)
-    assert out.jammed and not out.delivered
-    assert out.rssi_victim_dbm == PROFILE.rssi_jammed_dbm
-    # The jammer senses the victim on the channel it is hitting.
-    assert out.rssi_jammer_dbm == PROFILE.rssi_occupied_dbm
-    assert out.jammer_sensed_busy
+    assert resolve_slot(3, 3, 0.0, CountingRng()) == (False, True)
 
 
 def test_jam_on_other_channel_misses():
-    out = resolve_slot(3, True, 7, PROFILE)
-    assert out.delivered and not out.jammed
-    assert out.rssi_jammer_dbm == PROFILE.rssi_idle_dbm
-    assert not out.jammer_sensed_busy
-
-
-def test_idle_slot():
-    out = resolve_slot(3, False, 3, PROFILE)
-    assert not out.delivered and not out.jammed
-    assert out.rssi_victim_dbm == PROFILE.rssi_idle_dbm
-    # Nothing to sense on a silent channel.
-    assert not out.jammer_sensed_busy
-
-
-def test_sense_rssi():
-    assert sense_rssi(5, 5, True, PROFILE) == PROFILE.rssi_occupied_dbm
-    assert sense_rssi(5, 6, True, PROFILE) == PROFILE.rssi_idle_dbm
-    assert sense_rssi(5, 5, False, PROFILE) == PROFILE.rssi_idle_dbm
+    assert resolve_slot(3, 7, 0.0, CountingRng()) == (True, False)
 
 
 def test_occupied_level_clears_threshold():
-    assert PROFILE.rssi_occupied_dbm > PROFILE.occupancy_threshold_dbm
-    assert PROFILE.rssi_idle_dbm < PROFILE.occupancy_threshold_dbm
+    profile = RadioProfile()
+    assert profile.rssi_occupied_dbm > profile.occupancy_threshold_dbm
+    assert profile.rssi_idle_dbm < profile.occupancy_threshold_dbm
 
 
 def test_loss_knob():
-    lossy = RadioProfile(loss_prob=1.0)
-    rng = np.random.default_rng(0)
-    out = resolve_slot(2, True, None, lossy, rng)
-    assert not out.delivered and not out.jammed
-    # Loss applies to otherwise-clean slots only; a jam is still a jam.
-    out = resolve_slot(2, True, 2, lossy, rng)
-    assert out.jammed and not out.delivered
+    # Loss applies to otherwise-clean slots only: lost, not jammed.
+    assert resolve_slot(2, None, 1.0, CountingRng()) == (False, False)
+    assert resolve_slot(2, 5, 1.0, CountingRng()) == (False, False)
+    # A jam wins over loss.
+    assert resolve_slot(2, 2, 1.0, CountingRng()) == (False, True)
 
 
 def test_default_profile_consumes_no_randomness():
-    rng = np.random.default_rng(123)
-    resolve_slot(0, True, 1, PROFILE, rng)
-    fresh = np.random.default_rng(123)
-    assert rng.random() == fresh.random()
+    rng = CountingRng()
+    for jam in (None, 0, 1):
+        resolve_slot(0, jam, RadioProfile().loss_prob, rng)
+    assert rng.draws == 0
+
+
+@pytest.mark.parametrize("loss", [0.25, 1.0])
+def test_jammed_slot_consumes_no_randomness(loss):
+    rng = CountingRng()
+    assert resolve_slot(0, 0, loss, rng) == (False, True)
+    assert rng.draws == 0
+
+
+@pytest.mark.parametrize("jam", [None, 1])
+def test_one_draw_per_unjammed_lossy_slot(jam):
+    rng = CountingRng()
+    for n in range(1, 6):
+        resolve_slot(0, jam, 0.25, rng)
+        assert rng.draws == n
+
+
+def test_loss_follows_the_drawn_value():
+    rng, fresh = CountingRng(11), np.random.default_rng(11)
+    for _ in range(200):
+        delivered, _ = resolve_slot(0, None, 0.5, rng)
+        assert delivered == (fresh.random() >= 0.5)
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.25, 1.0])
 def test_never_both_delivered_and_jammed(loss):
-    rng = np.random.default_rng(5)
-    profile = RadioProfile(loss_prob=loss)
-    for tx_active in (True, False):
-        for jam in (None, 0, 4):
-            out = resolve_slot(4, tx_active, jam, profile, rng)
-            assert not (out.delivered and out.jammed)
+    rng = CountingRng(5)
+    for jam in (None, 0, 4):
+        for _ in range(20):
+            delivered, jammed = resolve_slot(4, jam, loss, rng)
+            assert not (delivered and jammed)
