@@ -9,6 +9,7 @@ applied on top of whatever the file sets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -180,6 +181,8 @@ def validate(config: ScenarioConfig) -> None:
         problems.append("detection_threshold must be in (0, 1]")
     if config.detection_window_slots < 1:
         problems.append("detection_window_slots must be at least 1")
+    if config.detection_window_slots > sys.maxsize:
+        problems.append(f"detection_window_slots must be at most {sys.maxsize}")
     if not 0.0 <= config.loss_prob < 1.0:
         problems.append("loss_prob must be in [0, 1)")
     if config.attacker not in {s.value for s in AttackStrategy}:

@@ -82,7 +82,9 @@ class Defender:
         self.hops = 0
         self.detections = 0
         self.hop_pending = False
-        self._window: deque[bool] = deque([True] * window_slots, maxlen=window_slots)
+        # Outcomes recorded since the last reset; the rest of the window is
+        # the implicit successes a reset presumes, counted in ``_good``.
+        self._window: deque[bool] = deque(maxlen=window_slots)
         self._good = window_slots
         # Integer firing bound: fire iff good successes < ceil(threshold * W),
         # computed once so float rounding can never fire at exactly-threshold.
@@ -158,9 +160,7 @@ class Defender:
         return self.channel
 
     def _reset_window(self) -> None:
-        window = self._window
-        window.clear()
-        window.extend([True] * self.window_slots)
+        self._window.clear()
         self._good = self.window_slots
 
     def record_and_detect(self, delivered: bool) -> bool:
@@ -170,7 +170,8 @@ class Defender:
         detections are always a full failure budget apart.
         """
         window = self._window
-        self._good += delivered - window[0]
+        # Until the window has filled, the slot leaving it is an implicit success.
+        self._good += delivered - (window[0] if len(window) == self.window_slots else True)
         window.append(delivered)
         if self._succ is not None:
             self._learn(delivered)

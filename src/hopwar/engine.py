@@ -10,12 +10,19 @@ knowledge always trails the slot it acted in.
 All randomness flows from the run seed through fixed per-component streams
 (defender 0, attacker 1, phy 2), so a run is a pure function of its config
 and seed: same inputs, byte-identical outputs.
+
+That is what lets ``run_batch`` split a batch's seeds between the caller and
+one forked child per extra usable core: the runs come back in seed order,
+the same bytes whatever the core count.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import pickle
 import statistics
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,12 +199,86 @@ class BatchResult:
 
 
 def run_batch(config: ScenarioConfig, collect_trace: bool = False) -> BatchResult:
-    """Run ``config.runs`` seeds (config.seed, config.seed+1, ...) in order."""
-    runs = [
-        run_scenario(config, seed=config.seed + i, collect_trace=collect_trace)
-        for i in range(config.runs)
-    ]
-    return BatchResult(config=config, runs=runs)
+    """Run ``config.runs`` seeds (config.seed, config.seed+1, ...), in seed order.
+
+    The seeds are dealt round-robin over ``min(runs, usable cores)`` shares.
+    The caller runs share 0; each other share runs in a forked child that
+    pipes its pickled runs back and exits. Every child has been read and
+    waited for when this returns or raises, and an exception raised in a
+    child is raised again here.
+    """
+    seeds = [config.seed + i for i in range(config.runs)]
+    shares = min(len(seeds), _usable_cores())
+
+    def run_share(share: int) -> list[RunMetrics]:
+        return [run_scenario(config, seed=seed, collect_trace=collect_trace) for seed in seeds[share::shares]]
+
+    if shares < 2:
+        return BatchResult(config=config, runs=run_share(0))
+    children: list[tuple[int, int]] = []
+    payloads: list[bytes] = []
+    exit_codes: list[int] = []
+    try:
+        for share in range(1, shares):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _child_main(write_fd, lambda: run_share(share))
+            children.append((pid, read_fd))
+            os.close(write_fd)
+        runs = run_share(0)
+    finally:
+        for _, read_fd in children:
+            with open(read_fd, "rb") as pipe:
+                payloads.append(pipe.read())
+        for pid, _ in children:
+            exit_codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _), payload, code in zip(children, payloads, exit_codes):
+        if code != 0:
+            raise RuntimeError(f"run_batch: the child running a seed share (pid {pid}) exited with {code}")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            exc, child_traceback = value
+            raise exc from RuntimeError(f"in the child running a seed share (pid {pid}):\n{child_traceback}")
+        runs += value
+    return BatchResult(config=config, runs=sorted(runs, key=lambda run: run.seed))
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on; 1 where it cannot fork or ask."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _child_main(write_fd: int, work) -> None:
+    """Body of a forked child: pipe ``work()``'s result or exception, then exit.
+
+    It exits 0 once the pipe holds a whole payload. ``os._exit`` skips the
+    interpreter's shutdown, so nothing the parent buffered or registered
+    runs twice.
+    """
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps((True, work()), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:  # every failure goes back to the parent
+            detail = traceback.format_exc()
+            try:
+                payload = pickle.dumps((False, (exc, detail)), pickle.HIGHEST_PROTOCOL)
+            except Exception:  # an exception that does not pickle
+                payload = pickle.dumps((False, (RuntimeError(repr(exc)), detail)), pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 SUMMARY_HEADER = [

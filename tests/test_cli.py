@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -120,3 +121,21 @@ def test_non_finite_config_value_is_exit_1(tmp_path, capsys, line):
     path.write_text(line + "\n")
     assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("hopwar: config error: must be finite")
+
+
+def test_oversized_detection_window_is_exit_1(tmp_path, capsys):
+    # Larger than any deque can be; the run must never get as far as building one.
+    path = tmp_path / "bad.cfg"
+    path.write_text("detection_window_slots = 1000000000000000000000000000000\n")
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("hopwar: config error: detection_window_slots must be at most")
+
+
+def test_output_does_not_depend_on_the_core_count(config_file, tmp_path, monkeypatch):
+    outputs = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: set(range(cores)))
+        out = tmp_path / f"cores{cores}"
+        assert main(["run", "--config", str(config_file), "--out-dir", str(out), "--timeseries"]) == 0
+        outputs[cores] = {name: (out / name).read_bytes() for name in ("summary.csv", "run_11.csv", "run_12.csv")}
+    assert outputs[1] == outputs[2]

@@ -81,6 +81,7 @@ def test_load_config_validates(tmp_path):
         ("detection_threshold", 0.0),
         ("detection_threshold", 1.5),
         ("detection_window_slots", 0),
+        ("detection_window_slots", 10**30),
         ("loss_prob", 1.0),
         ("attacker", "nuke"),
         ("defender", "teleport"),

@@ -45,6 +45,15 @@ def test_old_slots_slide_out():
     assert d.pdr == 1.0
 
 
+def test_window_holds_only_outcomes_since_the_last_reset():
+    # The rest of a long window is implicit successes, never stored.
+    d = make(window=5000)
+    for slot in range(100):
+        d.record_and_detect(slot % 2 == 0)
+    assert len(d._window) <= 100
+    assert d.pdr == (5000 - 50) / 5000
+
+
 def test_interleaved_failures_need_the_same_budget():
     # Failures spread thinly across a clean stream never accumulate
     # past the budget, so the detector stays quiet.

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from hopwar import engine
 from hopwar.config import ScenarioConfig
 from hopwar.engine import (
     SUMMARY_HEADER,
@@ -112,6 +115,50 @@ def test_run_batch_counts_and_seed_layout():
     batch = run_batch(cfg)
     assert len(batch.runs) == 5
     assert batch.seeds == [100, 101, 102, 103, 104]
+
+
+def usable_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_run_batch_equals_per_seed_runs_on_any_core_count(monkeypatch, cores):
+    # Five seeds split unevenly over two or three shares.
+    usable_cores(monkeypatch, cores)
+    cfg = short_config(runs=5, seed=40, attacker="bandit", defender="smart", sim_duration_s=30.0)
+    batch = run_batch(cfg, collect_trace=True)
+    assert batch.seeds == [40, 41, 42, 43, 44]
+    for got in batch.runs:
+        want = run_scenario(cfg, seed=got.seed, collect_trace=True)
+        assert got.as_row() == want.as_row()
+        assert got.pdr_series == want.pdr_series
+        assert got.trace == want.trace
+
+
+def test_run_batch_raises_a_childs_exception_and_leaves_no_child(monkeypatch):
+    usable_cores(monkeypatch, 2)
+    real_run_scenario = engine.run_scenario
+
+    def failing(config, seed=None, collect_trace=False):
+        if seed == 41:  # dealt to the child's share
+            raise KeyError("seed 41")
+        return real_run_scenario(config, seed=seed, collect_trace=collect_trace)
+
+    monkeypatch.setattr(engine, "run_scenario", failing)
+    with pytest.raises(KeyError, match="seed 41"):
+        run_batch(short_config(runs=5, seed=40, sim_duration_s=10.0))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_single_run_batch_never_forks(monkeypatch):
+    usable_cores(monkeypatch, 2)
+
+    def no_fork():
+        raise AssertionError("run_batch forked for a single run")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_batch(short_config(runs=1)).seeds == [7]
 
 
 def test_batch_aggregates_match_the_runs():
