@@ -15,7 +15,6 @@ no lag; only its burst/cooldown duty cycle keeps it off the victim.
 from __future__ import annotations
 
 from collections import deque
-from enum import Enum
 
 import numpy as np
 
@@ -32,14 +31,6 @@ PHASED_COUNT_CAP = 36.0
 PHASED_MISS_DECREMENT = 0.11
 
 _RANDOM_BLOCK = 4096
-
-
-class AttackStrategy(str, Enum):
-    RANDOM = "random"
-    REACTIVE = "reactive"
-    BANDIT = "bandit"
-    PHASED = "phased"
-    ORACLE = "oracle"
 
 
 class RandomJammer:
@@ -264,25 +255,21 @@ class OracleJammer:
 Jammer = RandomJammer | ReactiveJammer | BanditJammer | PhasedJammer | OracleJammer
 
 
-def make_attacker(
-    strategy: AttackStrategy | str,
-    num_channels: int,
-    rng: np.random.Generator,
-    idle_trigger: int = 58,
-    reactive_dwell: int = 64,
-    listen_len: int = 1000,
-    eval_len: int = 400,
-    retrain_trigger: float = 0.05,
-    oracle_burst: int = 39,
-    oracle_cooldown: int = 154,
-) -> Jammer:
-    strategy = AttackStrategy(strategy)
-    if strategy is AttackStrategy.RANDOM:
-        return RandomJammer(num_channels, rng)
-    if strategy is AttackStrategy.REACTIVE:
-        return ReactiveJammer(num_channels, idle_trigger, dwell=reactive_dwell)
-    if strategy is AttackStrategy.BANDIT:
-        return BanditJammer(num_channels, rng)
-    if strategy is AttackStrategy.PHASED:
-        return PhasedJammer(num_channels, listen_len, eval_len, retrain_trigger)
-    return OracleJammer(oracle_burst, oracle_cooldown)
+# Name -> constructor from (config, attacker rng): the one place to add an
+# attacker. tests/test_golden.py walks the keys in order, so the order is pinned.
+ATTACKERS = {
+    "random": lambda config, rng: RandomJammer(config.num_channels, rng),
+    "reactive": lambda config, rng: ReactiveJammer(
+        config.num_channels, config.idle_trigger_slots, config.reactive_dwell_slots
+    ),
+    "bandit": lambda config, rng: BanditJammer(config.num_channels, rng),
+    "phased": lambda config, rng: PhasedJammer(
+        config.num_channels, config.listen_len_slots, config.eval_len_slots, config.retrain_trigger
+    ),
+    "oracle": lambda config, rng: OracleJammer(config.oracle_burst_slots, config.oracle_cooldown_slots),
+}
+
+
+def make_attacker(config, rng: np.random.Generator) -> Jammer:
+    """Build the attacker ``config.attacker`` names, drawing from ``rng``."""
+    return ATTACKERS[config.attacker](config, rng)

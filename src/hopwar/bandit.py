@@ -1,8 +1,8 @@
 """Beta-Bernoulli Thompson sampling over a discrete set of arms.
 
-Both sides of the simulation reuse this module: the adaptive jammer treats
-channels as arms with "sensed the target" as reward, and the smart hopping
-defender treats channels as arms with "packet delivered" as reward.
+The adaptive jammer treats channels as arms with "sensed the target" as
+reward. The smart hopping defender does not use this module: it keeps its
+own decayed per-channel tallies (see ``defender``).
 """
 
 from __future__ import annotations
@@ -19,38 +19,21 @@ _HOT_BLOCK = 4
 _COLD_BLOCK = 64
 
 
-def sample_beta(alpha: float, beta: float, rng: np.random.Generator) -> float:
-    """Draw one variate from Beta(alpha, beta)."""
-    return float(rng.beta(alpha, beta))
-
-
 @dataclass
 class BetaArm:
-    """Posterior state of one arm under a Beta-Bernoulli model.
+    """Snapshot of one arm's Beta posterior.
 
     Attributes
     ----------
     alpha : float
-        Success shape parameter, starts at 1 (uniform prior).
+        Success shape parameter: 1 plus the counted rewards equal to 1
+        (the windowed sampler counts only the rewards in its window).
     beta : float
-        Failure shape parameter, starts at 1.
-    pulls : int
-        Times this arm's outcome has been observed.
-    successes : int
-        Observed rewards equal to 1.
+        Failure shape parameter: 1 plus the counted rewards equal to 0.
     """
 
-    alpha: float = 1.0
-    beta: float = 1.0
-    pulls: int = 0
-    successes: int = 0
-
-    @property
-    def posterior_mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return sample_beta(self.alpha, self.beta, rng)
+    alpha: float
+    beta: float
 
 
 class ThompsonSampler:
@@ -58,9 +41,9 @@ class ThompsonSampler:
 
     Selection draws one posterior sample per arm and plays the argmax
     (ties resolve to the lowest index). Rewards arrive through
-    :meth:`update`, which is also where the pull counters move: an arm
-    chosen now has its outcome observed one step later, so a freshly
-    selected arm still shows the old counts until its reward lands.
+    :meth:`update`, the only place a posterior moves: an arm chosen now has
+    its outcome observed one step later, so a freshly selected arm still
+    shows its old posterior until its reward lands.
 
     Parameters
     ----------
@@ -72,11 +55,8 @@ class ThompsonSampler:
         if num_arms <= 0:
             raise ValueError(f"num_arms must be positive, got {num_arms}")
         self.num_arms = num_arms
-        self.total_selections = 0
         self._alpha = [1.0] * num_arms
         self._beta = [1.0] * num_arms
-        self._pulls = [0] * num_arms
-        self._successes = [0] * num_arms
         # Per-arm cached samples (python lists: scalar indexing is faster
         # than numpy element access in the per-slot loop).
         self._cache: list[list[float]] = [[] for _ in range(num_arms)]
@@ -86,14 +66,7 @@ class ThompsonSampler:
     @property
     def arms(self) -> list[BetaArm]:
         """Snapshot of all arm posteriors."""
-        return [
-            BetaArm(self._alpha[j], self._beta[j], self._pulls[j], self._successes[j])
-            for j in range(self.num_arms)
-        ]
-
-    def posterior_mean(self, arm: int) -> float:
-        a = self._alpha[arm]
-        return a / (a + self._beta[arm])
+        return [BetaArm(a, b) for a, b in zip(self._alpha, self._beta)]
 
     def select_arm(self, rng: np.random.Generator) -> int:
         """Sample every arm's posterior and return the argmax arm index."""
@@ -122,9 +95,6 @@ class ThompsonSampler:
         r = 1 if reward else 0
         self._alpha[arm] += r
         self._beta[arm] += 1 - r
-        self._pulls[arm] += 1
-        self._successes[arm] += r
-        self.total_selections += 1
         # Cached samples for this arm no longer match its posterior.
         self._cache[arm] = []
         self._cursor[arm] = 0
@@ -141,11 +111,8 @@ class WindowedThompsonSampler(ThompsonSampler):
     last ``window`` observed plays only. A camped-on arm stays sharp near 1,
     an abandoned one drains within a window's worth of plays, and arms keep
     their accumulated pessimism until they are actually replayed, so the
-    reaction speed never degrades over a run.
-
-    ``total_selections`` still counts all updates ever; ``pulls`` and
-    ``successes`` describe the windowed posterior, keeping
-    alpha = 1 + successes and beta = 1 + (pulls - successes) exact.
+    reaction speed never degrades over a run. Alpha and beta stay exactly
+    1 plus the windowed successes and 1 plus the windowed failures.
     """
 
     def __init__(self, num_arms: int, window: int) -> None:
@@ -162,7 +129,5 @@ class WindowedThompsonSampler(ThompsonSampler):
             old = history[0]
             self._alpha[arm] -= old
             self._beta[arm] -= 1 - old
-            self._pulls[arm] -= 1
-            self._successes[arm] -= old
         history.append(1 if reward else 0)
         super().update(arm, reward)

@@ -13,10 +13,9 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .attacker import AttackStrategy
-from .defender import HopStrategy
+from .attacker import ATTACKERS
+from .defender import DEFENDERS
 from .metrics import PowerProfile, TimingProfile
-from .phy import RadioProfile
 
 
 class ConfigError(Exception):
@@ -35,29 +34,22 @@ class ScenarioConfig:
     defender: str = "random"
     seed: int = 1
     runs: int = 1
-    payload_bytes: int = 1000
 
     # Detector
     detection_threshold: float = 0.8
     detection_window_slots: int = 192
 
-    # Radio levels
-    rssi_clean_dbm: float = -40.0
-    rssi_jammed_dbm: float = -120.0
-    rssi_idle_dbm: float = -95.0
-    rssi_occupied_dbm: float = -55.0
-    occupancy_threshold_dbm: float = -80.0
+    # Random loss on otherwise clean slots
     loss_prob: float = 0.0
 
-    # Energy model
-    p_tx_w: float = 0.67
-    p_rx_w: float = 0.34
-    p_idle_w: float = 0.30
-    p_sleep_w: float = 0.001
-    t_tx_data_s: float = 0.00397
-    t_rx_data_s: float = 0.00695
-    t_tx_ack_s: float = 0.00002
-    t_rx_ack_s: float = 0.00003
+    # Energy model; the defaults live in the profiles
+    p_tx_w: float = PowerProfile.p_tx_w
+    p_rx_w: float = PowerProfile.p_rx_w
+    p_idle_w: float = PowerProfile.p_idle_w
+    t_tx_data_s: float = TimingProfile.t_tx_data_s
+    t_rx_data_s: float = TimingProfile.t_rx_data_s
+    t_tx_ack_s: float = TimingProfile.t_tx_ack_s
+    t_rx_ack_s: float = TimingProfile.t_rx_ack_s
 
     # Attacker knobs
     idle_trigger_slots: int = 58
@@ -80,18 +72,8 @@ class ScenarioConfig:
     def hop_enable_slot(self) -> int:
         return int(round(self.hop_enable_s / self.slot_s))
 
-    def radio_profile(self) -> RadioProfile:
-        return RadioProfile(
-            rssi_clean_dbm=self.rssi_clean_dbm,
-            rssi_jammed_dbm=self.rssi_jammed_dbm,
-            rssi_idle_dbm=self.rssi_idle_dbm,
-            rssi_occupied_dbm=self.rssi_occupied_dbm,
-            occupancy_threshold_dbm=self.occupancy_threshold_dbm,
-            loss_prob=self.loss_prob,
-        )
-
     def power_profile(self) -> PowerProfile:
-        return PowerProfile(self.p_tx_w, self.p_rx_w, self.p_idle_w, self.p_sleep_w)
+        return PowerProfile(self.p_tx_w, self.p_rx_w, self.p_idle_w)
 
     def timing_profile(self) -> TimingProfile:
         return TimingProfile(self.t_tx_data_s, self.t_rx_data_s, self.t_tx_ack_s, self.t_rx_ack_s)
@@ -101,6 +83,7 @@ class ScenarioConfig:
 
 
 _FIELD_TYPES = {f.name: type(f.default) for f in fields(ScenarioConfig)}
+_ENERGY_KEYS = [f.name for f in fields(PowerProfile) + fields(TimingProfile)]
 
 
 def _convert(key: str, raw: str):
@@ -185,14 +168,13 @@ def validate(config: ScenarioConfig) -> None:
         problems.append(f"detection_window_slots must be at most {sys.maxsize}")
     if not 0.0 <= config.loss_prob < 1.0:
         problems.append("loss_prob must be in [0, 1)")
-    if config.attacker not in {s.value for s in AttackStrategy}:
-        problems.append(
-            f"attacker must be one of {sorted(s.value for s in AttackStrategy)}, got {config.attacker!r}"
-        )
-    if config.defender not in {s.value for s in HopStrategy}:
-        problems.append(
-            f"defender must be one of {sorted(s.value for s in HopStrategy)}, got {config.defender!r}"
-        )
+    if config.attacker not in ATTACKERS:
+        problems.append(f"attacker must be one of {sorted(ATTACKERS)}, got {config.attacker!r}")
+    if config.defender not in DEFENDERS:
+        problems.append(f"defender must be one of {sorted(DEFENDERS)}, got {config.defender!r}")
+    problems += [f"{key} must not be negative" for key in _ENERGY_KEYS if getattr(config, key) < 0]
+    if config.t_tx_data_s + config.t_rx_ack_s > config.slot_s:
+        problems.append("t_tx_data_s + t_rx_ack_s (a delivered slot's air time) must not exceed slot_s")
     if config.idle_trigger_slots < 1:
         problems.append("idle_trigger_slots must be at least 1")
     if config.reactive_dwell_slots < 1:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from enum import Enum
 
 import numpy as np
 
@@ -44,81 +43,119 @@ SMART_PROBE_PROB = 0.095
 SMART_REHOME_SLOTS = 45
 
 
-class HopStrategy(str, Enum):
-    RANDOM = "random"
-    SMART = "smart"
+class BaseDefender:
+    """Transmitter state shared by the hop policies: detector and retry queue.
 
-
-class Defender:
-    """Transmitter state machine for one run.
-
-    Parameters
-    ----------
-    num_channels : int
-        Size of the channel pool.
-    strategy : HopStrategy
-        Hop policy, detection-driven random or per-slot adaptive.
-    window_slots : int
-        Sliding window length for the delivery-ratio detector.
-    threshold : float
-        Detector fires when windowed PDR drops strictly below this.
-    start_channel : int
-        Channel occupied at t=0.
+    ``config`` is the run's ``ScenarioConfig``; its channel count and
+    detector window and threshold are read once. The node starts on
+    channel 0. A policy subclass supplies ``advance``, which commits the
+    slot's channel, and may react to a detection in ``_on_detection``.
     """
 
-    def __init__(
-        self,
-        num_channels: int,
-        strategy: HopStrategy,
-        window_slots: int,
-        threshold: float,
-        start_channel: int = 0,
-    ) -> None:
-        self.num_channels = num_channels
-        self.strategy = HopStrategy(strategy)
+    def __init__(self, config) -> None:
+        window_slots = config.detection_window_slots
+        self.num_channels = config.num_channels
         self.window_slots = window_slots
-        self.threshold = threshold
-        self.channel = start_channel
+        self.channel = 0
         self.hops = 0
         self.detections = 0
-        self.hop_pending = False
         # Outcomes recorded since the last reset; the rest of the window is
         # the implicit successes a reset presumes, counted in ``_good``.
         self._window: deque[bool] = deque(maxlen=window_slots)
         self._good = window_slots
         # Integer firing bound: fire iff good successes < ceil(threshold * W),
         # computed once so float rounding can never fire at exactly-threshold.
-        self._min_good = math.ceil(threshold * window_slots - 1e-9)
+        self._min_good = math.ceil(config.detection_threshold * window_slots - 1e-9)
         self._pending_retry = False
-        # Adaptive-policy state, used only by the SMART strategy.
-        self.home = start_channel
-        self.probe_target: int | None = None
-        self._probing = False
-        self._streak = 0
-        self._since_home = 0
-        self._burned: deque[int] = deque(maxlen=SMART_AVOID_RECENT)
-        self._succ: list[float] | None = None
-        self._fail: list[float] | None = None
-        if self.strategy is HopStrategy.SMART:
-            self._succ = [0.0] * num_channels
-            self._fail = [0.0] * num_channels
 
     @property
     def pdr(self) -> float:
         """Delivery ratio over the detector window."""
         return self._good / self.window_slots
 
+    def _reset_window(self) -> None:
+        self._window.clear()
+        self._good = self.window_slots
+
+    def record_and_detect(self, delivered: bool) -> bool:
+        """Fold one slot outcome into the detector; True when it fires.
+
+        A firing resets the window to all-successes, so consecutive
+        detections are always a full failure budget apart.
+        """
+        window = self._window
+        # Until the window has filled, the slot leaving it is an implicit success.
+        self._good += delivered - (window[0] if len(window) == self.window_slots else True)
+        window.append(delivered)
+        if self._good < self._min_good:
+            self.detections += 1
+            self._reset_window()
+            self._on_detection()
+            return True
+        return False
+
+    def _on_detection(self) -> None:
+        """The policy's reaction to a detection: none unless overridden."""
+
+    def queue_retry(self) -> None:
+        """Put the undelivered head packet back on the send queue."""
+        self._pending_retry = True
+
+    def pop_retransmission(self) -> bool:
+        """Consume the pending retry; True if this delivery recovered one."""
+        if self._pending_retry:
+            self._pending_retry = False
+            return True
+        return False
+
+
+class RandomDefender(BaseDefender):
+    """Parks on a channel until the detector fires, then hops at random.
+
+    The hop happens when the next slot's channel is committed, to a uniform
+    random channel other than the one the attacker was last sensed on.
+    """
+
+    def __init__(self, config) -> None:
+        super().__init__(config)
+        self.hop_pending = False
+
+    def _on_detection(self) -> None:
+        self.hop_pending = True
+
+    def advance(self, rng: np.random.Generator, avoid: int | None = None) -> int:
+        """Commit this slot's channel, hopping first if a detection asked to."""
+        if self.hop_pending:
+            self.hop_pending = False
+            self.hops += 1
+            candidate = int(rng.integers(self.num_channels))
+            while candidate == avoid:
+                candidate = int(rng.integers(self.num_channels))
+            self.channel = candidate
+        return self.channel
+
+
+class SmartDefender(BaseDefender):
+    """Adaptive hopper that decides every slot; its detections are telemetry."""
+
+    def __init__(self, config) -> None:
+        super().__init__(config)
+        self.home = 0
+        self.probe_target: int | None = None
+        self._probing = False
+        self._streak = 0
+        self._since_home = 0
+        self._burned: deque[int] = deque(maxlen=SMART_AVOID_RECENT)
+        self._succ = [0.0] * self.num_channels
+        self._fail = [0.0] * self.num_channels
+
     def advance(self, rng: np.random.Generator, avoid: int | None = None) -> int:
         """Commit this slot's channel and return it.
 
-        The random policy only moves here when a detection left a hop
-        pending. The smart policy decides every slot: flee a failing home,
-        re-home on the timer, sound the last failed channel, or stay put.
+        Flee a failing home, re-home on the timer, sound the last failed
+        channel, or stay put. ``avoid`` is unused: the policy learns from
+        its own outcomes.
         """
-        if self.strategy is HopStrategy.RANDOM:
-            if self.hop_pending:
-                self.execute_hop(rng, avoid=avoid)
-            return self.channel
         self._since_home += 1
         if self._streak >= SMART_FLEE_STREAK:
             return self._move_home()
@@ -143,7 +180,6 @@ class Defender:
         the channel epoch it was collected on, and the node presumes the
         new home is clean, exactly as it does after a detection.
         """
-        assert self._succ is not None and self._fail is not None
         self._streak = 0
         self._since_home = 0
         self._burned.append(self.home)
@@ -159,32 +195,8 @@ class Defender:
         self._reset_window()
         return self.channel
 
-    def _reset_window(self) -> None:
-        self._window.clear()
-        self._good = self.window_slots
-
     def record_and_detect(self, delivered: bool) -> bool:
-        """Fold one slot outcome into the detector; True when it fires.
-
-        A firing resets the window to all-successes, so consecutive
-        detections are always a full failure budget apart.
-        """
-        window = self._window
-        # Until the window has filled, the slot leaving it is an implicit success.
-        self._good += delivered - (window[0] if len(window) == self.window_slots else True)
-        window.append(delivered)
-        if self._succ is not None:
-            self._learn(delivered)
-        if self._good < self._min_good:
-            self.detections += 1
-            if self.strategy is HopStrategy.RANDOM:
-                self.hop_pending = True
-            self._reset_window()
-            return True
-        return False
-
-    def _learn(self, delivered: bool) -> None:
-        """Update the adaptive policy's decayed evidence with this slot."""
+        """Fold the slot into the decayed evidence, then into the detector."""
         self._succ = [s * SMART_SUCCESS_DECAY for s in self._succ]
         self._fail = [f * SMART_FAILURE_DECAY for f in self._fail]
         channel = self.channel
@@ -200,27 +212,15 @@ class Defender:
             self.probe_target = channel
             if not self._probing:
                 self._streak += 1
+        return super().record_and_detect(delivered)
 
-    def hop_random(self, rng: np.random.Generator, avoid: int | None = None) -> int:
-        """Move to a uniform random channel, redrawing any sensed-busy one."""
-        candidate = int(rng.integers(self.num_channels))
-        while candidate == avoid:
-            candidate = int(rng.integers(self.num_channels))
-        self.channel = candidate
-        return candidate
 
-    def execute_hop(self, rng: np.random.Generator, avoid: int | None = None) -> int:
-        self.hop_pending = False
-        self.hops += 1
-        return self.hop_random(rng, avoid)
+# Name -> constructor from the config: the one place to add a hop policy.
+# tests/test_golden.py walks the keys in order, so the order is pinned.
+DEFENDERS = {"random": RandomDefender, "smart": SmartDefender}
 
-    def queue_retry(self) -> None:
-        """Put the undelivered head packet back on the send queue."""
-        self._pending_retry = True
 
-    def pop_retransmission(self) -> bool:
-        """Consume the pending retry; True if this delivery recovered one."""
-        if self._pending_retry:
-            self._pending_retry = False
-            return True
-        return False
+# Keeps the engine's class-style name: the benchmark tracer wraps ``engine.Defender``.
+def Defender(config) -> BaseDefender:
+    """Build the defender ``config.defender`` names."""
+    return DEFENDERS[config.defender](config)

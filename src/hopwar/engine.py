@@ -57,24 +57,8 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     att_rng = component_rng(seed, _ATTACKER_STREAM)
     phy_rng = component_rng(seed, _PHY_STREAM)
 
-    defender = Defender(
-        config.num_channels,
-        config.defender,
-        config.detection_window_slots,
-        config.detection_threshold,
-    )
-    attacker = make_attacker(
-        config.attacker,
-        config.num_channels,
-        att_rng,
-        idle_trigger=config.idle_trigger_slots,
-        reactive_dwell=config.reactive_dwell_slots,
-        listen_len=config.listen_len_slots,
-        eval_len=config.eval_len_slots,
-        retrain_trigger=config.retrain_trigger,
-        oracle_burst=config.oracle_burst_slots,
-        oracle_cooldown=config.oracle_cooldown_slots,
-    )
+    defender = Defender(config)
+    attacker = make_attacker(config, att_rng)
     loss_prob = config.loss_prob
 
     num_slots = config.num_slots

@@ -16,7 +16,6 @@ class PowerProfile:
     p_tx_w: float = 0.67
     p_rx_w: float = 0.34
     p_idle_w: float = 0.30
-    p_sleep_w: float = 0.001
 
 
 @dataclass(frozen=True)
@@ -36,17 +35,11 @@ class EnergyLedger:
     tx_s: float = 0.0
     rx_s: float = 0.0
     idle_s: float = 0.0
-    sleep_s: float = 0.0
 
 
 def total_energy(ledger: EnergyLedger, power: PowerProfile) -> float:
     """Energy in joules for the time the ledger has accumulated."""
-    return (
-        ledger.tx_s * power.p_tx_w
-        + ledger.rx_s * power.p_rx_w
-        + ledger.idle_s * power.p_idle_w
-        + ledger.sleep_s * power.p_sleep_w
-    )
+    return ledger.tx_s * power.p_tx_w + ledger.rx_s * power.p_rx_w + ledger.idle_s * power.p_idle_w
 
 
 def retx_energy(power: PowerProfile, timing: TimingProfile) -> float:

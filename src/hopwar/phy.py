@@ -9,21 +9,7 @@ comparison, so a slot reduces to two booleans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class RadioProfile:
-    """RSSI levels (dBm) of the radio model and the random-loss probability."""
-
-    rssi_clean_dbm: float = -40.0
-    rssi_jammed_dbm: float = -120.0
-    rssi_idle_dbm: float = -95.0
-    rssi_occupied_dbm: float = -55.0
-    occupancy_threshold_dbm: float = -80.0
-    loss_prob: float = 0.0
 
 
 def resolve_slot(

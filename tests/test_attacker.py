@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hopwar.attacker import (
-    AttackStrategy,
+    ATTACKERS,
     BanditJammer,
     OracleJammer,
     PhasedJammer,
@@ -10,6 +12,8 @@ from hopwar.attacker import (
     ReactiveJammer,
     make_attacker,
 )
+from hopwar.config import ConfigError, ScenarioConfig, validate
+from hopwar.defender import DEFENDERS, Defender, RandomDefender, SmartDefender
 
 
 def drive(attacker, victim_channel):
@@ -87,10 +91,9 @@ def test_bandit_updates_previous_arm_then_selects():
     j = BanditJammer(12, rng)
     arm = j.step(3)
     before = j.sampler.arms[arm]
-    assert (before.alpha, before.beta, before.pulls) == (1.0, 1.0, 0)
+    assert (before.alpha, before.beta) == (1.0, 1.0)
     j.observe(arm == 3)
     after = j.sampler.arms[arm]
-    assert after.pulls == 1
     assert after.alpha + after.beta == 3.0
 
 
@@ -169,13 +172,45 @@ def test_oracle_rejects_empty_burst():
 
 def test_factory_builds_every_strategy():
     rng = np.random.default_rng(0)
-    built = {
-        AttackStrategy.RANDOM: RandomJammer,
-        AttackStrategy.REACTIVE: ReactiveJammer,
-        AttackStrategy.BANDIT: BanditJammer,
-        AttackStrategy.PHASED: PhasedJammer,
-        AttackStrategy.ORACLE: OracleJammer,
+    attackers = {
+        "random": RandomJammer,
+        "reactive": ReactiveJammer,
+        "bandit": BanditJammer,
+        "phased": PhasedJammer,
+        "oracle": OracleJammer,
     }
-    for strategy, cls in built.items():
-        assert isinstance(make_attacker(strategy, 12, rng), cls)
-        assert isinstance(make_attacker(strategy.value, 12, rng), cls)
+    defenders = {"random": RandomDefender, "smart": SmartDefender}
+    # The key order is the order the pinned outputs list the pairings in.
+    assert list(ATTACKERS) == list(attackers)
+    assert list(DEFENDERS) == list(defenders)
+    for attacker, jammer_cls in attackers.items():
+        for defender, defender_cls in defenders.items():
+            config = ScenarioConfig(attacker=attacker, defender=defender)
+            validate(config)
+            assert isinstance(make_attacker(config, rng), jammer_cls)
+            assert isinstance(Defender(config), defender_cls)
+    # Validation accepts exactly the registry keys.
+    for field, name in [("attacker", "Bandit"), ("attacker", "bandit "), ("defender", "smarter")]:
+        with pytest.raises(ConfigError, match=f"{field} must be one of"):
+            validate(ScenarioConfig(**{field: name}))
+
+
+def test_factory_reads_the_attacker_knobs_from_the_config():
+    rng = np.random.default_rng(0)
+    config = ScenarioConfig(
+        num_channels=7,
+        idle_trigger_slots=3,
+        reactive_dwell_slots=5,
+        listen_len_slots=11,
+        eval_len_slots=13,
+        retrain_trigger=0.25,
+        oracle_burst_slots=17,
+        oracle_cooldown_slots=19,
+    )
+    reactive = make_attacker(replace(config, attacker="reactive"), rng)
+    assert (reactive.num_channels, reactive.idle_trigger, reactive.dwell) == (7, 3, 5)
+    phased = make_attacker(replace(config, attacker="phased"), rng)
+    assert (phased.num_channels, phased.listen_len, phased.eval_len, phased.retrain_trigger) == (7, 11, 13, 0.25)
+    oracle = make_attacker(replace(config, attacker="oracle"), rng)
+    assert (oracle.burst_slots, oracle.cooldown_slots) == (17, 19)
+    assert make_attacker(replace(config, attacker="bandit"), rng).sampler.num_arms == 7

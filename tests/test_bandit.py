@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from hopwar.bandit import BetaArm, ThompsonSampler, WindowedThompsonSampler, sample_beta
+from hopwar.bandit import ThompsonSampler, WindowedThompsonSampler
 
 
 class ConstantRng:
@@ -23,9 +23,6 @@ def test_prior_is_uniform():
     for arm in s.arms:
         assert arm.alpha == 1.0
         assert arm.beta == 1.0
-        assert arm.pulls == 0
-        assert arm.successes == 0
-    assert s.total_selections == 0
 
 
 def test_update_moves_only_the_played_arm():
@@ -37,19 +34,16 @@ def test_update_moves_only_the_played_arm():
     assert (arms[0].alpha, arms[0].beta) == (1.0, 1.0)
     assert (arms[1].alpha, arms[1].beta) == (2.0, 2.0)
     assert (arms[2].alpha, arms[2].beta) == (1.0, 2.0)
-    assert arms[1].pulls == 2 and arms[1].successes == 1
-    assert s.total_selections == 3
 
 
 def test_select_does_not_touch_counters():
-    # The outcome of a selection is observed a step later, so pulls and
-    # total_selections move in update, never in select_arm.
+    # The outcome of a selection is observed a step later, so the posterior
+    # moves in update, never in select_arm.
     s = ThompsonSampler(4)
     rng = np.random.default_rng(0)
     for _ in range(50):
         s.select_arm(rng)
-    assert s.total_selections == 0
-    assert all(arm.pulls == 0 for arm in s.arms)
+    assert all((arm.alpha, arm.beta) == (1.0, 1.0) for arm in s.arms)
 
 
 def test_posterior_replay_matches_closed_form():
@@ -70,9 +64,6 @@ def test_posterior_replay_matches_closed_form():
         for j, arm in enumerate(s.arms):
             assert arm.alpha == 1.0 + wins[j]
             assert arm.beta == 1.0 + losses[j]
-            assert arm.pulls == wins[j] + losses[j]
-            assert arm.successes == wins[j]
-        assert s.total_selections == sum(wins) + sum(losses)
 
 
 def test_tie_breaks_to_lowest_index():
@@ -94,24 +85,6 @@ def test_dominant_arm_wins_selection():
     rng = np.random.default_rng(42)
     picks = sum(1 for _ in range(2000) if s.select_arm(rng) == 3)
     assert picks >= 1980
-
-
-def test_posterior_mean():
-    arm = BetaArm(alpha=8.0, beta=2.0)
-    assert arm.posterior_mean == pytest.approx(0.8)
-    s = ThompsonSampler(2)
-    s.update(0, 1)
-    s.update(0, 1)
-    s.update(0, 0)
-    assert s.posterior_mean(0) == pytest.approx(3.0 / 5.0)
-    assert s.posterior_mean(1) == pytest.approx(0.5)
-
-
-def test_sample_beta_bounds_and_mean():
-    rng = np.random.default_rng(7)
-    draws = [sample_beta(8.0, 2.0, rng) for _ in range(5000)]
-    assert all(0.0 < d < 1.0 for d in draws)
-    assert abs(sum(draws) / len(draws) - 0.8) < 0.02
 
 
 def test_selection_sequence_is_deterministic():
@@ -142,8 +115,6 @@ def test_windowed_evicts_the_oldest_play():
     s.update(0, 0)  # the first success slides out
     arm = s.arms[0]
     assert (arm.alpha, arm.beta) == (3.0, 2.0)
-    assert arm.pulls == 3
-    assert arm.successes == 2
 
 
 def test_windowed_posterior_matches_the_tail_of_the_history():
@@ -153,20 +124,15 @@ def test_windowed_posterior_matches_the_tail_of_the_history():
         w = pyrng.randint(1, 12)
         s = WindowedThompsonSampler(n, window=w)
         seen = [[] for _ in range(n)]
-        updates = 0
         for _ in range(pyrng.randint(0, 200)):
             arm = pyrng.randrange(n)
             r = pyrng.randint(0, 1)
             s.update(arm, r)
             seen[arm].append(r)
-            updates += 1
         for j, arm in enumerate(s.arms):
             tail = seen[j][-w:]
-            assert arm.pulls == len(tail)
-            assert arm.successes == sum(tail)
             assert arm.alpha == 1.0 + sum(tail)
             assert arm.beta == 1.0 + len(tail) - sum(tail)
-        assert s.total_selections == updates
 
 
 def test_windowed_forgets_old_pessimism():

@@ -72,10 +72,22 @@ def test_missing_config_file_is_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_bad_config_key_is_exit_1(tmp_path, capsys):
+# warp_speed was never a key; the others are keys the model no longer has.
+@pytest.mark.parametrize("key", ["warp_speed", "rssi_clean_dbm", "p_sleep_w", "payload_bytes"])
+def test_bad_config_key_is_exit_1(tmp_path, capsys, key):
     path = tmp_path / "bad.cfg"
-    path.write_text("warp_speed = 9\n")
-    assert main(["run", "--config", str(path)]) == 1
+    path.write_text(f"{key} = 9\n")
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["p_idle_w = -1", "p_tx_w = -0.67", "t_tx_data_s = 0.2"])
+def test_impossible_energy_value_is_exit_1(tmp_path, capsys, line):
+    # Each of these once ran and reported a negative energy or idle time.
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("hopwar: config error: ")
 
 
 def test_bad_override_value_is_exit_1(config_file, capsys):

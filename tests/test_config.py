@@ -97,6 +97,15 @@ def test_load_config_validates(tmp_path):
         ("hop_enable_s", float("nan")),
         ("sim_duration_s", float("inf")),
         ("p_idle_w", float("-inf")),
+        ("p_idle_w", -1.0),
+        ("p_tx_w", -0.67),
+        ("p_rx_w", -0.34),
+        ("t_tx_data_s", -0.001),
+        ("t_rx_data_s", -0.001),
+        ("t_tx_ack_s", -0.001),
+        ("t_rx_ack_s", -0.001),
+        ("t_tx_data_s", 0.2),
+        ("t_rx_ack_s", 0.1),
     ],
 )
 def test_validation_rejects(field, value):
@@ -111,9 +120,7 @@ def test_validation_rejects_slot_counts_that_overflow():
 
 
 def test_profile_builders_carry_the_config_values():
-    cfg = ScenarioConfig(rssi_clean_dbm=-30.0, p_tx_w=1.0, t_tx_ack_s=0.5, loss_prob=0.1)
-    assert cfg.radio_profile().rssi_clean_dbm == -30.0
-    assert cfg.radio_profile().loss_prob == 0.1
+    cfg = ScenarioConfig(p_tx_w=1.0, t_tx_ack_s=0.5)
     assert cfg.power_profile().p_tx_w == 1.0
     assert cfg.timing_profile().t_tx_ack_s == 0.5
 
@@ -122,4 +129,4 @@ def test_as_dict_is_flat_and_complete():
     d = ScenarioConfig().as_dict()
     assert d["num_channels"] == 12
     assert d["oracle_cooldown_slots"] == 154
-    assert len(d) == 33
+    assert len(d) == 26

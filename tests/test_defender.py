@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from hopwar.defender import Defender, HopStrategy
+from hopwar.config import ScenarioConfig
+from hopwar.defender import RandomDefender, SmartDefender
 
 
-def make(strategy=HopStrategy.RANDOM, window=10, threshold=0.8, channels=12):
-    return Defender(channels, strategy, window, threshold)
+def make(window=10, threshold=0.8, channels=12):
+    config = ScenarioConfig(num_channels=channels, detection_window_slots=window, detection_threshold=threshold)
+    return RandomDefender(config)
+
+
+def detect(d):
+    """Record failures until the detector fires."""
+    while not d.record_and_detect(False):
+        pass
 
 
 def test_window_starts_clean():
@@ -69,20 +77,25 @@ def test_hop_random_avoids_the_sensed_channel():
     rng = np.random.default_rng(3)
     seen = set()
     for _ in range(300):
-        seen.add(d.hop_random(rng, avoid=5))
+        detect(d)
+        seen.add(d.advance(rng, avoid=5))
     assert 5 not in seen
     assert seen == {c for c in range(12) if c != 5}
+    assert d.hops == 300
 
 
 def test_hop_random_without_avoid_covers_all_channels():
     d = make()
     rng = np.random.default_rng(4)
-    seen = {d.hop_random(rng) for _ in range(300)}
+    seen = set()
+    for _ in range(300):
+        detect(d)
+        seen.add(d.advance(rng))
     assert seen == set(range(12))
 
 
 def smart(window=192):
-    return Defender(12, HopStrategy.SMART, window, 0.8)
+    return SmartDefender(ScenarioConfig(detection_window_slots=window))
 
 
 def slot(d, rng, delivered):
@@ -193,21 +206,29 @@ def test_smart_starves_a_camping_jammer():
 
 
 def test_smart_detection_is_telemetry_not_a_hop_trigger():
+    # Three failures in a window of 10 fire the detector, but with a
+    # success between each the flee streak never reaches two.
     d = smart(window=10)
-    for _ in range(3):
-        d.record_and_detect(False)
+    rng = np.random.default_rng(0)
+    for delivered in (False, True, False, True, False):
+        slot(d, rng, delivered)
     assert d.detections == 1
-    assert not d.hop_pending
+    assert d.advance(rng) == 0
+    assert d.hops == 0
 
 
 def test_execute_hop_clears_pending_and_counts():
     d = make(window=4)
+    rng = np.random.default_rng(0)
+    assert d.advance(rng) == 0  # no detection, no hop
     for _ in range(4):
         d.record_and_detect(False)
     assert d.hop_pending
-    rng = np.random.default_rng(0)
-    d.execute_hop(rng, avoid=d.channel)
+    assert d.advance(rng, avoid=0) != 0
     assert not d.hop_pending
+    assert d.hops == 1
+    # Four detections before the hop still make one hop.
+    assert d.advance(rng) == d.channel
     assert d.hops == 1
 
 

@@ -18,9 +18,9 @@ import hashlib
 import json
 from pathlib import Path
 
-from hopwar.attacker import AttackStrategy
+from hopwar.attacker import ATTACKERS
 from hopwar.config import ScenarioConfig
-from hopwar.defender import HopStrategy
+from hopwar.defender import DEFENDERS
 from hopwar.engine import run_scenario
 
 GOLDEN = Path(__file__).parent / "golden" / "pinned.json"
@@ -34,15 +34,15 @@ TRACED = {"attacker": "reactive", "defender": "random", "seed": 1}
 
 def _pinned_runs(overrides: dict) -> list[dict]:
     entries = []
-    for attacker in AttackStrategy:
-        for defender in HopStrategy:
-            config = ScenarioConfig(attacker=attacker.value, defender=defender.value, **overrides)
+    for attacker in ATTACKERS:
+        for defender in DEFENDERS:
+            config = ScenarioConfig(attacker=attacker, defender=defender, **overrides)
             for seed in SEEDS:
                 run = run_scenario(config, seed=seed)
                 entries.append(
                     {
-                        "attacker": attacker.value,
-                        "defender": defender.value,
+                        "attacker": attacker,
+                        "defender": defender,
                         "row": run.as_row(),
                         "final_point": list(run.pdr_series[-1]),
                     }

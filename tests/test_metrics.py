@@ -29,8 +29,8 @@ def test_retx_energy_default_value():
 
 
 def test_total_energy_weights_each_state():
-    ledger = EnergyLedger(tx_s=1.0, rx_s=2.0, idle_s=3.0, sleep_s=4.0)
-    expected = 0.67 + 2 * 0.34 + 3 * 0.30 + 4 * 0.001
+    ledger = EnergyLedger(tx_s=1.0, rx_s=2.0, idle_s=3.0)
+    expected = 0.67 + 2 * 0.34 + 3 * 0.30
     assert total_energy(ledger, POWER) == pytest.approx(expected)
     assert total_energy(EnergyLedger(), POWER) == 0.0
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hopwar.phy import RadioProfile, resolve_slot
+from hopwar.config import ScenarioConfig
+from hopwar.phy import resolve_slot
 
 
 class CountingRng:
@@ -28,12 +29,6 @@ def test_jam_on_other_channel_misses():
     assert resolve_slot(3, 7, 0.0, CountingRng()) == (True, False)
 
 
-def test_occupied_level_clears_threshold():
-    profile = RadioProfile()
-    assert profile.rssi_occupied_dbm > profile.occupancy_threshold_dbm
-    assert profile.rssi_idle_dbm < profile.occupancy_threshold_dbm
-
-
 def test_loss_knob():
     # Loss applies to otherwise-clean slots only: lost, not jammed.
     assert resolve_slot(2, None, 1.0, CountingRng()) == (False, False)
@@ -45,7 +40,7 @@ def test_loss_knob():
 def test_default_profile_consumes_no_randomness():
     rng = CountingRng()
     for jam in (None, 0, 1):
-        resolve_slot(0, jam, RadioProfile().loss_prob, rng)
+        resolve_slot(0, jam, ScenarioConfig().loss_prob, rng)
     assert rng.draws == 0
 
 
