@@ -18,6 +18,13 @@ from .defender import DEFENDERS
 from .metrics import PowerProfile, TimingProfile
 
 
+# Upper limits on the knobs that size allocations. Every attacker and the
+# smart defender keep per-channel lists and scan them each step or hop, and
+# a batch holds all of its runs, each with its PDR series, in memory.
+MAX_CHANNELS = 1024
+MAX_RUNS = 10_000
+
+
 class ConfigError(Exception):
     """Unusable configuration: unknown key, bad value, or failed validation."""
 
@@ -146,6 +153,8 @@ def validate(config: ScenarioConfig) -> None:
     problems = []
     if config.num_channels < 2:
         problems.append("num_channels must be at least 2")
+    if config.num_channels > MAX_CHANNELS:
+        problems.append(f"num_channels must be at most {MAX_CHANNELS}")
     if config.slot_s <= 0:
         problems.append("slot_s must be positive")
     if config.sim_duration_s <= 0:
@@ -158,6 +167,8 @@ def validate(config: ScenarioConfig) -> None:
         problems.append("hop_enable_s must not be negative")
     if config.runs < 1:
         problems.append("runs must be at least 1")
+    if config.runs > MAX_RUNS:
+        problems.append(f"runs must be at most {MAX_RUNS}")
     if config.seed < 0:
         problems.append("seed must not be negative")
     if not 0.0 < config.detection_threshold <= 1.0:

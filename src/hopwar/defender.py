@@ -19,6 +19,13 @@ Two hop policies share that detector:
   with brief probe visits to learn when that channel is usable again. For
   the smart policy the detector is telemetry: it counts confirmed attacks
   but does not drive the hops, which react faster than the window can.
+
+Between home moves the smart policy does constant work per slot. Its
+tallies are decayed on read: each channel's pair is stored as of the slot it
+was last bumped, a slot's outcome brings only the channel it bumps up to
+date, and a home move decays every channel to the current slot. Its probe
+coins are drawn from the generator in blocks and spent in order, the same
+values scalar draws give.
 """
 
 from __future__ import annotations
@@ -41,6 +48,9 @@ SMART_AVOID_RECENT = 3
 SMART_PROBE_PROB = 0.095
 # Clean slots after which the node re-homes voluntarily.
 SMART_REHOME_SLOTS = 45
+# Probe coins drawn per generator call; a block holds the values the same
+# number of scalar draws would, and nothing else draws from the stream.
+SMART_COIN_BLOCK = 64
 
 
 class BaseDefender:
@@ -136,7 +146,13 @@ class RandomDefender(BaseDefender):
 
 
 class SmartDefender(BaseDefender):
-    """Adaptive hopper that decides every slot; its detections are telemetry."""
+    """Adaptive hopper that decides every slot; its detections are telemetry.
+
+    ``_succ[c]`` / ``_fail[c]`` hold channel ``c``'s tallies as of slot
+    ``_stamp[c]`` (slots recorded so far, ``_now``); a tally ``v`` stands for
+    ``v * decay ** (_now - _stamp[c])`` today. ``_coins`` holds the unspent
+    rest of the current block of probe coins, last coin first.
+    """
 
     def __init__(self, config) -> None:
         super().__init__(config)
@@ -146,29 +162,33 @@ class SmartDefender(BaseDefender):
         self._streak = 0
         self._since_home = 0
         self._burned: deque[int] = deque(maxlen=SMART_AVOID_RECENT)
+        self._now = 0
         self._succ = [0.0] * self.num_channels
         self._fail = [0.0] * self.num_channels
+        self._stamp = [0] * self.num_channels
+        self._coins: list[float] = []
 
     def advance(self, rng: np.random.Generator, avoid: int | None = None) -> int:
         """Commit this slot's channel and return it.
 
         Flee a failing home, re-home on the timer, sound the last failed
         channel, or stay put. ``avoid`` is unused: the policy learns from
-        its own outcomes.
+        its own outcomes. A coin is spent only when there is a channel to
+        sound, exactly where a scalar ``rng.random()`` would be drawn.
         """
         self._since_home += 1
         if self._streak >= SMART_FLEE_STREAK:
             return self._move_home()
         if self._since_home >= SMART_REHOME_SLOTS:
             return self._move_home()
-        if (
-            self.probe_target is not None
-            and self.probe_target != self.home
-            and rng.random() < SMART_PROBE_PROB
-        ):
-            self._probing = True
-            self.channel = self.probe_target
-            return self.channel
+        if self.probe_target is not None and self.probe_target != self.home:
+            coins = self._coins
+            if not coins:
+                coins = self._coins = rng.random(SMART_COIN_BLOCK).tolist()[::-1]
+            if coins.pop() < SMART_PROBE_PROB:
+                self._probing = True
+                self.channel = self.probe_target
+                return self.channel
         self._probing = False
         self.channel = self.home
         return self.channel
@@ -183,8 +203,13 @@ class SmartDefender(BaseDefender):
         self._streak = 0
         self._since_home = 0
         self._burned.append(self.home)
-        means = [(1.0 + s) / (2.0 + s + f) for s, f in zip(self._succ, self._fail)]
-        means[self.home] = -1.0
+        now = self._now
+        means = []
+        for s, f, stamp in zip(self._succ, self._fail, self._stamp):
+            age = now - stamp
+            s *= SMART_SUCCESS_DECAY**age
+            f *= SMART_FAILURE_DECAY**age
+            means.append((1.0 + s) / (2.0 + s + f))
         for ch in self._burned:
             means[ch] = -1.0
         # First maximum, as the lowest index wins a tie.
@@ -196,22 +221,30 @@ class SmartDefender(BaseDefender):
         return self.channel
 
     def record_and_detect(self, delivered: bool) -> bool:
-        """Fold the slot into the decayed evidence, then into the detector."""
-        self._succ = [s * SMART_SUCCESS_DECAY for s in self._succ]
-        self._fail = [f * SMART_FAILURE_DECAY for f in self._fail]
+        """Fold the slot into the decayed evidence, then into the detector.
+
+        Only the channel the slot was sent on is brought up to date.
+        """
+        now = self._now = self._now + 1
         channel = self.channel
+        age = now - self._stamp[channel]
+        self._stamp[channel] = now
+        succ = self._succ[channel] * SMART_SUCCESS_DECAY**age
+        fail = self._fail[channel] * SMART_FAILURE_DECAY**age
         if delivered:
-            self._succ[channel] += 1.0
+            succ += 1.0
             if self._probing:
                 # The sounded channel is clear again; stop watching it.
                 self.probe_target = None
             else:
                 self._streak = 0
         else:
-            self._fail[channel] += 1.0
+            fail += 1.0
             self.probe_target = channel
             if not self._probing:
                 self._streak += 1
+        self._succ[channel] = succ
+        self._fail[channel] = fail
         return super().record_and_detect(delivered)
 
 

@@ -72,7 +72,6 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     delivered = 0
     jammed = 0
     recovered = 0
-    detections = 0
     last_jam: int | None = None
     pdr_series: list[tuple[float, float]] = []
     trace: list[tuple] | None = [] if collect_trace else None
@@ -94,7 +93,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
             emit = None
             sense = None
         slot_delivered, slot_jammed = resolve_slot(tx, emit, loss_prob, phy_rng)
-        fired = record(slot_delivered)
+        record(slot_delivered)
         transmitted += 1
         if slot_delivered:
             delivered += 1
@@ -104,8 +103,6 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
             if slot_jammed:
                 jammed += 1
             queue_retry()
-        if fired:
-            detections += 1
         if sense is not None:
             observe(sense == tx)
         last_jam = emit
@@ -136,7 +133,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
         delivered=delivered,
         jammed=jammed,
         recovered=recovered,
-        detections=detections,
+        detections=defender.detections,
         hops=defender.hops,
         extra_energy_j=jammed * retx_energy(power, timing),
         total_energy_j=total_energy(ledger, power),
@@ -280,25 +277,28 @@ SUMMARY_HEADER = [
 TIMESERIES_HEADER = ["t_s", "pdr", "tx_channel", "jam_channel", "outcome"]
 
 
+def summary_row(batch: BatchResult) -> list:
+    """The batch aggregate row under ``SUMMARY_HEADER``, floats as ``repr``."""
+    return [
+        batch.config.attacker,
+        batch.config.defender,
+        len(batch.runs),
+        repr(batch.mean_pdr),
+        repr(batch.mean_success_rate),
+        repr(batch.mean_retransmissions),
+        repr(batch.mean_detections),
+        repr(batch.mean_extra_energy_j),
+        repr(batch.std_pdr),
+    ]
+
+
 def emit_summary(batch: BatchResult, path: str | Path) -> Path:
     """Write the batch aggregate row. Same batch, same bytes."""
     path = Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SUMMARY_HEADER)
-        writer.writerow(
-            [
-                batch.config.attacker,
-                batch.config.defender,
-                len(batch.runs),
-                repr(batch.mean_pdr),
-                repr(batch.mean_success_rate),
-                repr(batch.mean_retransmissions),
-                repr(batch.mean_detections),
-                repr(batch.mean_extra_energy_j),
-                repr(batch.std_pdr),
-            ]
-        )
+        writer.writerow(summary_row(batch))
     return path
 
 

@@ -4,28 +4,37 @@ Each test pins one deliverable behavior end to end, from exact posterior
 arithmetic up to full 200-seed campaigns of every attacker against both
 defender policies. Tolerance bands are sized for a 200-seed batch; wall
 clock budgets keep the suite runnable on a laptop.
+
+``tests/golden/campaign.json`` pins both campaigns byte for byte. A change
+that alters a campaign output on purpose regenerates it and says why:
+
+    PYTHONPATH=src python tests/test_acceptance.py
 """
 
 from __future__ import annotations
 
 import filecmp
+import hashlib
+import json
 import random
 import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hopwar.bandit import ThompsonSampler
 from hopwar.config import ScenarioConfig
-from hopwar.engine import run_batch
+from hopwar.engine import SUMMARY_HEADER, run_batch, summary_row
 from hopwar.metrics import PowerProfile, TimingProfile, retx_energy
 
 ATTACKERS = ["random", "reactive", "bandit", "phased", "oracle"]
 RUNS = 200
 CAMPAIGN_BUDGET_S = 180.0
+CAMPAIGN_GOLDEN = Path(__file__).parent / "golden" / "campaign.json"
 
 
 def _campaign(defender: str):
@@ -35,6 +44,26 @@ def _campaign(defender: str):
         for attacker in ATTACKERS
     }
     return batches, time.perf_counter() - t0
+
+
+def render_campaigns(*campaigns) -> str:
+    """The pinned file for the given ``_campaign`` results.
+
+    Per pairing: the ``emit_summary`` fields, mean hops and mean total
+    energy (``repr``), and the SHA-256 of every run's ``as_row()`` in seed
+    order, which catches a one-ulp change in one run that a mean could absorb.
+    """
+    pinned = {}
+    for batches, _ in campaigns:
+        for attacker, batch in batches.items():
+            rows = "\n".join(repr(run.as_row()) for run in batch.runs)
+            pinned[f"{attacker} vs {batch.config.defender}"] = {
+                "summary": dict(zip(SUMMARY_HEADER, summary_row(batch))),
+                "mean_hops": repr(statistics.fmean(run.hops for run in batch.runs)),
+                "mean_total_energy_j": repr(statistics.fmean(run.total_energy_j for run in batch.runs)),
+                "rows_sha256": hashlib.sha256(rows.encode()).hexdigest(),
+            }
+    return json.dumps(pinned, indent=1) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +224,10 @@ def test_cli_runs_are_byte_identical(tmp_path):
     assert time.perf_counter() - t0 < 10.0
 
 
+def test_campaign_outputs_match_the_pinned_file_byte_for_byte(versus_random_hopper, versus_adaptive_hopper):
+    assert render_campaigns(versus_random_hopper, versus_adaptive_hopper).encode() == CAMPAIGN_GOLDEN.read_bytes()
+
+
 def test_delivery_accounting_conserves_packets(versus_random_hopper, versus_adaptive_hopper):
     # Every run of both campaigns: each slot's packet is either delivered
     # or jammed, every jammed packet costs exactly one retransmission, and
@@ -206,3 +239,9 @@ def test_delivery_accounting_conserves_packets(versus_random_hopper, versus_adap
                 assert run.retransmissions == run.jammed
                 assert 0.0 <= run.final_pdr <= 1.0
                 assert all(0.0 <= p <= 1.0 for _, p in run.pdr_series)
+
+
+if __name__ == "__main__":
+    CAMPAIGN_GOLDEN.parent.mkdir(exist_ok=True)
+    CAMPAIGN_GOLDEN.write_text(render_campaigns(_campaign("random"), _campaign("smart")))
+    print(f"wrote {CAMPAIGN_GOLDEN}")

@@ -143,6 +143,22 @@ def test_oversized_detection_window_is_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("hopwar: config error: detection_window_slots must be at most")
 
 
+@pytest.mark.parametrize("line", ["num_channels = 18446744073709551616", "runs = 1000000000000000000000000000000"])
+def test_oversized_channel_count_or_run_count_is_exit_1(tmp_path, line):
+    # num_channels = 2**64 once passed validate and died in the sampler's
+    # per-arm lists; a subprocess shows any traceback on stderr.
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopwar", "run", "--config", str(path), "--out-dir", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("hopwar: config error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_output_does_not_depend_on_the_core_count(config_file, tmp_path, monkeypatch):
     outputs = {}
     for cores in (1, 2):

@@ -1,6 +1,14 @@
 import pytest
 
-from hopwar.config import ConfigError, ScenarioConfig, load_config, parse_config_text, validate
+from hopwar.config import (
+    MAX_CHANNELS,
+    MAX_RUNS,
+    ConfigError,
+    ScenarioConfig,
+    load_config,
+    parse_config_text,
+    validate,
+)
 
 
 def test_defaults_describe_the_reference_scenario():
@@ -74,9 +82,13 @@ def test_load_config_validates(tmp_path):
     "field,value",
     [
         ("num_channels", 0),
+        ("num_channels", MAX_CHANNELS + 1),
+        ("num_channels", 2**64),
         ("slot_s", 0.0),
         ("sim_duration_s", -1.0),
         ("runs", 0),
+        ("runs", MAX_RUNS + 1),
+        ("runs", 10**30),
         ("seed", -1),
         ("detection_threshold", 0.0),
         ("detection_threshold", 1.5),
@@ -112,6 +124,10 @@ def test_validation_rejects(field, value):
     cfg = ScenarioConfig(**{field: value})
     with pytest.raises(ConfigError):
         validate(cfg)
+
+
+def test_validation_accepts_the_upper_limits():
+    validate(ScenarioConfig(num_channels=MAX_CHANNELS, runs=MAX_RUNS))
 
 
 def test_validation_rejects_slot_counts_that_overflow():

@@ -1,8 +1,21 @@
+import random
+
 import numpy as np
 import pytest
 
+from hopwar import engine
+from hopwar.attacker import ATTACKERS
 from hopwar.config import ScenarioConfig
-from hopwar.defender import RandomDefender, SmartDefender
+from hopwar.defender import (
+    SMART_AVOID_RECENT,
+    SMART_FAILURE_DECAY,
+    SMART_FLEE_STREAK,
+    SMART_PROBE_PROB,
+    SMART_REHOME_SLOTS,
+    SMART_SUCCESS_DECAY,
+    RandomDefender,
+    SmartDefender,
+)
 
 
 def make(window=10, threshold=0.8, channels=12):
@@ -125,8 +138,6 @@ def test_smart_tolerates_scattered_failures():
 
 
 def test_smart_rehomes_on_the_timer_even_when_clean():
-    from hopwar.defender import SMART_REHOME_SLOTS
-
     d = smart()
     rng = np.random.default_rng(0)
     homes = {slot(d, rng, True) for _ in range(SMART_REHOME_SLOTS - 1)}
@@ -136,8 +147,6 @@ def test_smart_rehomes_on_the_timer_even_when_clean():
 
 
 def test_smart_avoids_recently_left_homes():
-    from hopwar.defender import SMART_AVOID_RECENT
-
     d = smart()
     rng = np.random.default_rng(2)
     recent = [d.home]
@@ -215,6 +224,84 @@ def test_smart_detection_is_telemetry_not_a_hop_trigger():
     assert d.detections == 1
     assert d.advance(rng) == 0
     assert d.hops == 0
+
+
+class EagerCheckedSmartDefender(SmartDefender):
+    """The smart defender with the eager tallies kept alongside its own.
+
+    The eager tallies decay every channel on every slot, as the policy once
+    did. Each home move must pick the channel the eager means pick: their
+    first maximum outside the last ``SMART_AVOID_RECENT`` homes, counting
+    the one being left.
+    """
+
+    moves = 0
+
+    def __init__(self, config) -> None:
+        super().__init__(config)
+        self.eager_succ = [0.0] * self.num_channels
+        self.eager_fail = [0.0] * self.num_channels
+        self.homes_left: list[int] = []
+
+    def record_and_detect(self, delivered: bool) -> bool:
+        self.eager_succ = [s * SMART_SUCCESS_DECAY for s in self.eager_succ]
+        self.eager_fail = [f * SMART_FAILURE_DECAY for f in self.eager_fail]
+        (self.eager_succ if delivered else self.eager_fail)[self.channel] += 1.0
+        return super().record_and_detect(delivered)
+
+    def _move_home(self) -> int:
+        self.homes_left.append(self.home)
+        means = [(1.0 + s) / (2.0 + s + f) for s, f in zip(self.eager_succ, self.eager_fail)]
+        for ch in self.homes_left[-SMART_AVOID_RECENT:]:
+            means[ch] = -1.0
+        expected = means.index(max(means))
+        assert super()._move_home() == expected
+        EagerCheckedSmartDefender.moves += 1
+        return expected
+
+
+@pytest.mark.parametrize("loss_prob", [0.0, 0.1])
+def test_decay_on_read_picks_the_homes_eager_tallies_pick(monkeypatch, loss_prob):
+    monkeypatch.setattr(engine, "Defender", EagerCheckedSmartDefender)
+    monkeypatch.setattr(EagerCheckedSmartDefender, "moves", 0)
+    runs = 0
+    for attacker in ATTACKERS:
+        config = ScenarioConfig(attacker=attacker, defender="smart", sim_duration_s=300.0, loss_prob=loss_prob)
+        for seed in range(1, 21):
+            run = engine.run_scenario(config, seed=seed)
+            runs += 1
+            assert run.hops > 0
+    assert runs == 100
+    assert EagerCheckedSmartDefender.moves > 10_000
+
+
+def test_probe_coins_drawn_in_blocks_decide_as_scalar_draws_do():
+    # Replays the policy's branch order, drawing one scalar coin from an
+    # identically seeded generator wherever the policy may sound a channel.
+    d = smart()
+    rng = np.random.default_rng(5)
+    scalar = np.random.default_rng(5)
+    outcomes = random.Random(5)
+    coins = probes = 0
+    for _ in range(20_000):
+        may_probe = (
+            d._streak < SMART_FLEE_STREAK
+            and d._since_home + 1 < SMART_REHOME_SLOTS
+            and d.probe_target is not None
+            and d.probe_target != d.home
+        )
+        target = d.probe_target
+        expected = may_probe and scalar.random() < SMART_PROBE_PROB
+        coins += may_probe
+        ch = d.advance(rng)
+        assert d._probing == expected
+        if expected:
+            assert ch == target
+            probes += 1
+        # Channels 0-3 are jammed half the time, the rest rarely.
+        d.record_and_detect(outcomes.random() >= (0.5 if ch < 4 else 0.05))
+    assert coins > 10 * 64
+    assert probes > 100
 
 
 def test_execute_hop_clears_pending_and_counts():
