@@ -126,7 +126,7 @@ class BanditJammer:
 
     def observe(self, sensed_busy: bool) -> None:
         if self._arm is not None:
-            self.sampler.update(self._arm, 1 if sensed_busy else 0)
+            self.sampler.update(self._arm, sensed_busy)
 
 
 class PhasedJammer:
@@ -163,12 +163,9 @@ class PhasedJammer:
             self.sensing_channel = self._sweep
             return None
         counts = self.counts
-        best = 0
-        best_count = counts[0]
-        for j in range(1, self.num_channels):
-            if counts[j] > best_count:
-                best_count = counts[j]
-                best = j
+        best_count = max(counts)
+        # First maximum, as the lowest index wins a tie.
+        best = counts.index(best_count)
         if best_count <= 0.0:
             # Map exhausted: probe round-robin until a channel answers.
             best = self._probe

@@ -123,11 +123,17 @@ class WindowedThompsonSampler(ThompsonSampler):
         self._history: list[deque[int]] = [deque(maxlen=window) for _ in range(num_arms)]
 
     def update(self, arm: int, reward: int) -> None:
+        # The base update's body, inlined: this runs once per jammer slot.
+        r = 1 if reward else 0
         history = self._history[arm]
-        if len(history) == history.maxlen:
+        if len(history) == self.window:
             # The oldest observation slides out of the posterior.
             old = history[0]
             self._alpha[arm] -= old
             self._beta[arm] -= 1 - old
-        history.append(1 if reward else 0)
-        super().update(arm, reward)
+        history.append(r)
+        self._alpha[arm] += r
+        self._beta[arm] += 1 - r
+        self._cache[arm] = []
+        self._cursor[arm] = 0
+        self._hot[arm] = True

@@ -20,7 +20,7 @@ from .metrics import PowerProfile, TimingProfile
 
 # Upper limits on the knobs that size allocations. Every attacker and the
 # smart defender keep per-channel lists and scan them each step or hop, and
-# a batch holds all of its runs, each with its PDR series, in memory.
+# a batch holds all of its runs in memory.
 MAX_CHANNELS = 1024
 MAX_RUNS = 10_000
 
@@ -194,6 +194,8 @@ def validate(config: ScenarioConfig) -> None:
         problems.append("listen_len_slots must be at least 1")
     if config.eval_len_slots < 1:
         problems.append("eval_len_slots must be at least 1")
+    if config.eval_len_slots > sys.maxsize:
+        problems.append(f"eval_len_slots must be at most {sys.maxsize}")
     if not 0.0 <= config.retrain_trigger < 1.0:
         problems.append("retrain_trigger must be in [0, 1)")
     if config.oracle_burst_slots < 1:

@@ -1,4 +1,4 @@
-"""Channel-hopping transmitter: jam detector, hop policies, retry queue.
+"""Channel-hopping transmitter: jam detector and hop policies.
 
 The victim transmits one packet per slot and watches its own delivery ratio
 over a sliding window. When the windowed ratio drops below the detection
@@ -54,7 +54,7 @@ SMART_COIN_BLOCK = 64
 
 
 class BaseDefender:
-    """Transmitter state shared by the hop policies: detector and retry queue.
+    """Transmitter state shared by the hop policies: channel, counters, detector.
 
     ``config`` is the run's ``ScenarioConfig``; its channel count and
     detector window and threshold are read once. The node starts on
@@ -76,7 +76,6 @@ class BaseDefender:
         # Integer firing bound: fire iff good successes < ceil(threshold * W),
         # computed once so float rounding can never fire at exactly-threshold.
         self._min_good = math.ceil(config.detection_threshold * window_slots - 1e-9)
-        self._pending_retry = False
 
     @property
     def pdr(self) -> float:
@@ -106,17 +105,6 @@ class BaseDefender:
 
     def _on_detection(self) -> None:
         """The policy's reaction to a detection: none unless overridden."""
-
-    def queue_retry(self) -> None:
-        """Put the undelivered head packet back on the send queue."""
-        self._pending_retry = True
-
-    def pop_retransmission(self) -> bool:
-        """Consume the pending retry; True if this delivery recovered one."""
-        if self._pending_retry:
-            self._pending_retry = False
-            return True
-        return False
 
 
 class RandomDefender(BaseDefender):

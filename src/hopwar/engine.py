@@ -2,10 +2,11 @@
 
 Slot order, fixed: the defender commits its channel (pending random hop or
 one step of the adaptive policy), the attacker commits its action, the slot
-resolves, the defender records the outcome (detector, delivery
-bookkeeping), and the attacker gets its sensing feedback. Detections
-therefore take effect at the start of the next slot, and the attacker's
-knowledge always trails the slot it acted in.
+resolves, the defender feeds the outcome to its detector, the engine does
+the delivery bookkeeping (the one-packet send queue included), and the
+attacker gets its sensing feedback. Detections therefore take effect at the
+start of the next slot, and the attacker's knowledge always trails the slot
+it acted in. A run keeps counters, not per-slot series.
 
 All randomness flows from the run seed through fixed per-component streams
 (defender 0, attacker 1, phy 2), so a run is a pure function of its config
@@ -19,6 +20,7 @@ the same bytes whatever the core count.
 from __future__ import annotations
 
 import csv
+import heapq
 import os
 import pickle
 import statistics
@@ -31,7 +33,7 @@ import numpy as np
 from .attacker import make_attacker
 from .config import ScenarioConfig
 from .defender import Defender
-from .metrics import EnergyLedger, RunMetrics, retx_energy, total_energy
+from .metrics import RunMetrics, retx_energy
 from .phy import resolve_slot
 
 _DEFENDER_STREAM = 0
@@ -50,6 +52,13 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     ``seed`` defaults to ``config.seed``. With ``collect_trace`` the run also
     keeps one (t_s, pdr, tx_channel, jam_channel, outcome) sample per
     emission period for the timeseries CSV.
+
+    The slots run in segments cut at ``hop_enable_slot``, at
+    ``attack_start_slot`` and, with ``collect_trace``, at the end of every
+    emission period. A segment before hopping starts holds the defender on
+    its channel, one before the attack starts puts a silent stand-in in the
+    attacker's place, and the trace sample is taken between segments, so the
+    per-slot loop tests no slot number.
     """
     if seed is None:
         seed = config.seed
@@ -68,79 +77,96 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     stride = max(1, int(round(1.0 / slot_s)))
     period_s = stride * slot_s
 
-    transmitted = 0
+    # Segment ends in ascending order; repeats and ends at slot 0 are skipped.
+    stops = sorted(min(cut, num_slots) for cut in (hop_enable, attack_start, num_slots))
+    trace: list[tuple] | None = None
+    if collect_trace:
+        trace = []
+        stops = heapq.merge(range(stride, num_slots, stride), stops)
+
+    def hold(rng, avoid):
+        return defender.channel
+
     delivered = 0
     jammed = 0
     recovered = 0
+    # The send queue holds one packet: the head packet, back on it after a
+    # failed slot, and recovered by the next delivery.
+    retry = False
     last_jam: int | None = None
-    pdr_series: list[tuple[float, float]] = []
-    trace: list[tuple] | None = [] if collect_trace else None
 
-    step = attacker.step
-    observe = attacker.observe
+    resolve = resolve_slot
     record = defender.record_and_detect
-    pop_retry = defender.pop_retransmission
-    queue_retry = defender.queue_retry
+    observe = attacker.observe
 
-    for slot in range(num_slots):
-        if slot >= hop_enable:
-            defender.advance(def_rng, avoid=last_jam)
-        tx = defender.channel
-        if slot >= attack_start:
+    slot = 0
+    for stop in stops:
+        if stop <= slot:
+            continue
+        advance = defender.advance if slot >= hop_enable else hold
+        agent = attacker if slot >= attack_start else _SILENT
+        step = agent.step
+        for _ in range(slot, stop):
+            tx = advance(def_rng, last_jam)
             emit = step(tx)
-            sense = attacker.sensing_channel
-        else:
-            emit = None
-            sense = None
-        slot_delivered, slot_jammed = resolve_slot(tx, emit, loss_prob, phy_rng)
-        record(slot_delivered)
-        transmitted += 1
-        if slot_delivered:
-            delivered += 1
-            if pop_retry():
-                recovered += 1
-        else:
-            if slot_jammed:
-                jammed += 1
-            queue_retry()
-        if sense is not None:
-            observe(sense == tx)
-        last_jam = emit
-        if (slot + 1) % stride == 0:
-            t_s = ((slot + 1) // stride) * period_s
-            pdr_now = defender.pdr
-            pdr_series.append((t_s, pdr_now))
-            if trace is not None:
+            sense = agent.sensing_channel
+            slot_delivered, slot_jammed = resolve(tx, emit, loss_prob, phy_rng)
+            record(slot_delivered)
+            if slot_delivered:
+                delivered += 1
+                if retry:
+                    retry = False
+                    recovered += 1
+            else:
+                retry = True
                 if slot_jammed:
-                    outcome = "jammed"
-                elif slot_delivered:
-                    outcome = "delivered"
-                else:
-                    outcome = "lost"
-                trace.append((t_s, pdr_now, tx, emit, outcome))
+                    jammed += 1
+            if sense is not None:
+                observe(sense == tx)
+            last_jam = emit
+        slot = stop
+        if trace is not None and stop % stride == 0:
+            if slot_jammed:
+                outcome = "jammed"
+            elif slot_delivered:
+                outcome = "delivered"
+            else:
+                outcome = "lost"
+            trace.append(((stop // stride) * period_s, defender.pdr, tx, emit, outcome))
 
+    # Radio energy: every slot sends its data leg, a delivered slot also
+    # hears its ack, and the radio idles for the rest of the slot.
     power = config.power_profile()
     timing = config.timing_profile()
-    ledger = EnergyLedger(
-        tx_s=transmitted * timing.t_tx_data_s,
-        rx_s=delivered * timing.t_rx_ack_s,
-    )
-    ledger.idle_s = transmitted * slot_s - ledger.tx_s - ledger.rx_s
+    tx_s = num_slots * timing.t_tx_data_s
+    rx_s = delivered * timing.t_rx_ack_s
+    idle_s = num_slots * slot_s - tx_s - rx_s
 
-    metrics = RunMetrics(
+    return RunMetrics(
         seed=seed,
-        transmitted=transmitted,
+        transmitted=num_slots,
         delivered=delivered,
         jammed=jammed,
         recovered=recovered,
         detections=defender.detections,
         hops=defender.hops,
         extra_energy_j=jammed * retx_energy(power, timing),
-        total_energy_j=total_energy(ledger, power),
-        pdr_series=pdr_series,
+        total_energy_j=tx_s * power.p_tx_w + rx_s * power.p_rx_w + idle_s * power.p_idle_w,
+        trace=trace,
     )
-    metrics.trace = trace
-    return metrics
+
+
+class _Silent:
+    """The attacker's stand-in before the attack starts: no emission, no sensing."""
+
+    sensing_channel = None
+
+    @staticmethod
+    def step(victim_channel: int) -> None:
+        return None
+
+
+_SILENT = _Silent()
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -28,20 +28,6 @@ class TimingProfile:
     t_rx_ack_s: float = 0.00003
 
 
-@dataclass
-class EnergyLedger:
-    """Accumulated seconds spent in each radio state."""
-
-    tx_s: float = 0.0
-    rx_s: float = 0.0
-    idle_s: float = 0.0
-
-
-def total_energy(ledger: EnergyLedger, power: PowerProfile) -> float:
-    """Energy in joules for the time the ledger has accumulated."""
-    return ledger.tx_s * power.p_tx_w + ledger.rx_s * power.p_rx_w + ledger.idle_s * power.p_idle_w
-
-
 def retx_energy(power: PowerProfile, timing: TimingProfile) -> float:
     """Joules burned by one retransmission: the data leg plus its ack."""
     data = timing.t_tx_data_s * power.p_tx_w + timing.t_rx_data_s * power.p_rx_w
@@ -58,6 +44,9 @@ class RunMetrics:
     goes through counts the original packet as recovered; only packets
     whose retry was itself jammed stay unrecovered, which is what the
     delivery ratio charges for.
+
+    The run keeps its counters only; ``trace`` holds the per-period samples
+    of a run simulated with ``collect_trace`` and is None otherwise.
     """
 
     seed: int
@@ -69,7 +58,6 @@ class RunMetrics:
     hops: int = 0
     extra_energy_j: float = 0.0
     total_energy_j: float = 0.0
-    pdr_series: list[tuple[float, float]] = field(default_factory=list)
     trace: list[tuple] | None = None
 
     @property

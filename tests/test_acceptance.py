@@ -231,14 +231,14 @@ def test_campaign_outputs_match_the_pinned_file_byte_for_byte(versus_random_hopp
 def test_delivery_accounting_conserves_packets(versus_random_hopper, versus_adaptive_hopper):
     # Every run of both campaigns: each slot's packet is either delivered
     # or jammed, every jammed packet costs exactly one retransmission, and
-    # every delivery-ratio figure is a proper ratio.
+    # the delivery ratio is a proper ratio. The per-period detector ratios
+    # are checked in tests/test_engine.py.
     for batches, _ in (versus_random_hopper, versus_adaptive_hopper):
         for batch in batches.values():
             for run in batch.runs:
                 assert run.transmitted == run.delivered + run.jammed
                 assert run.retransmissions == run.jammed
                 assert 0.0 <= run.final_pdr <= 1.0
-                assert all(0.0 <= p <= 1.0 for _, p in run.pdr_series)
 
 
 if __name__ == "__main__":

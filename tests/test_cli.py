@@ -159,6 +159,21 @@ def test_oversized_channel_count_or_run_count_is_exit_1(tmp_path, line):
     assert "Traceback" not in proc.stderr
 
 
+def test_oversized_phased_estimate_window_is_exit_1(tmp_path):
+    # eval_len_slots = 10**30 once passed validate and died building the
+    # phased jammer's deque with an OverflowError.
+    path = tmp_path / "bad.cfg"
+    path.write_text("attacker = phased\neval_len_slots = 1000000000000000000000000000000\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopwar", "run", "--config", str(path), "--out-dir", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("hopwar: config error: eval_len_slots must be at most")
+    assert "Traceback" not in proc.stderr
+
+
 def test_output_does_not_depend_on_the_core_count(config_file, tmp_path, monkeypatch):
     outputs = {}
     for cores in (1, 2):

@@ -101,6 +101,7 @@ def test_load_config_validates(tmp_path):
         ("reactive_dwell_slots", 0),
         ("listen_len_slots", 0),
         ("eval_len_slots", 0),
+        ("eval_len_slots", 10**30),
         ("retrain_trigger", 1.0),
         ("oracle_burst_slots", 0),
         ("oracle_cooldown_slots", -1),

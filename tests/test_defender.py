@@ -318,16 +318,3 @@ def test_execute_hop_clears_pending_and_counts():
     assert d.advance(rng) == d.channel
     assert d.hops == 1
 
-
-def test_retry_queue_collapses_repeat_failures():
-    d = make()
-    d.queue_retry()
-    d.queue_retry()
-    d.queue_retry()
-    assert d.pop_retransmission()
-    # Queue of one: the retried packet is the same head packet.
-    assert not d.pop_retransmission()
-
-
-def test_pop_without_pending_is_false():
-    assert not make().pop_retransmission()

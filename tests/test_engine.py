@@ -1,10 +1,13 @@
 import os
 
-import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hopwar import engine
-from hopwar.config import ScenarioConfig
+from hopwar.attacker import ATTACKERS, make_attacker
+from hopwar.config import ScenarioConfig, validate
+from hopwar.defender import DEFENDERS, Defender
 from hopwar.engine import (
     SUMMARY_HEADER,
     TIMESERIES_HEADER,
@@ -14,7 +17,8 @@ from hopwar.engine import (
     run_batch,
     run_scenario,
 )
-from hopwar.metrics import retx_energy
+from hopwar.metrics import RunMetrics, retx_energy
+from hopwar.phy import resolve_slot
 
 
 def short_config(**kw):
@@ -67,11 +71,11 @@ def test_extra_energy_is_retransmissions_times_unit_cost():
 
 def test_runs_are_deterministic_in_the_seed():
     cfg = short_config(attacker="bandit", sim_duration_s=90.0)
-    a = run_scenario(cfg, seed=123)
-    b = run_scenario(cfg, seed=123)
+    a = run_scenario(cfg, seed=123, collect_trace=True)
+    b = run_scenario(cfg, seed=123, collect_trace=True)
     c = run_scenario(cfg, seed=124)
     assert a.as_row() == b.as_row()
-    assert a.pdr_series == b.pdr_series
+    assert a.trace == b.trace
     assert a.as_row() != c.as_row()
 
 
@@ -82,12 +86,24 @@ def test_component_streams_are_distinct_and_stable():
     assert d0 == component_rng(42, 0).random(4).tolist()
 
 
-def test_pdr_series_cadence():
+def test_trace_cadence():
+    # One row per simulated second.
     cfg = short_config(attack_start_s=1e6)
+    m = run_scenario(cfg, collect_trace=True)
+    assert len(m.trace) == 60
+    assert m.trace[0][:2] == (1.0, 1.0)
+    assert m.trace[-1][0] == 60.0
+
+
+def test_a_run_of_failures_then_a_delivery_recovers_one_packet():
+    # One oracle burst of five jams in the whole run, then clean slots: the
+    # send queue holds the one head packet, so five failures followed by a
+    # delivery recover exactly one packet.
+    cfg = short_config(attacker="oracle", oracle_burst_slots=5, oracle_cooldown_slots=10_000)
     m = run_scenario(cfg)
-    assert len(m.pdr_series) == 60
-    assert m.pdr_series[0] == (1.0, 1.0)
-    assert m.pdr_series[-1][0] == 60.0
+    assert m.jammed == 5
+    assert m.recovered == 1
+    assert m.delivered == 600 - 5
 
 
 def test_trace_only_when_requested():
@@ -131,7 +147,6 @@ def test_run_batch_equals_per_seed_runs_on_any_core_count(monkeypatch, cores):
     for got in batch.runs:
         want = run_scenario(cfg, seed=got.seed, collect_trace=True)
         assert got.as_row() == want.as_row()
-        assert got.pdr_series == want.pdr_series
         assert got.trace == want.trace
 
 
@@ -205,3 +220,150 @@ def test_emitted_files_are_byte_stable(tmp_path):
     a = emit_summary(run_batch(cfg), tmp_path / "a.csv").read_bytes()
     b = emit_summary(run_batch(cfg), tmp_path / "b.csv").read_bytes()
     assert a == b
+
+
+# --- the segment-stepped loop against the plain per-slot loop -----------------
+
+
+class RetryQueue:
+    """The one-packet send queue as an object, for the reference loop."""
+
+    def __init__(self) -> None:
+        self.pending = False
+
+    def queue_retry(self) -> None:
+        self.pending = True
+
+    def pop_retransmission(self) -> bool:
+        if self.pending:
+            self.pending = False
+            return True
+        return False
+
+
+def reference_run(config, seed):
+    """One run stepped slot by slot, testing the phases and the trace cadence every slot.
+
+    The plain loop that ``run_scenario``'s segment-stepped loop must equal,
+    with the send queue as an object; returns (metrics, trace).
+    """
+    def_rng = component_rng(seed, 0)
+    att_rng = component_rng(seed, 1)
+    phy_rng = component_rng(seed, 2)
+    defender = Defender(config)
+    attacker = make_attacker(config, att_rng)
+    queue = RetryQueue()
+    stride = max(1, int(round(1.0 / config.slot_s)))
+    period_s = stride * config.slot_s
+    transmitted = delivered = jammed = recovered = 0
+    last_jam = None
+    trace = []
+    for slot in range(config.num_slots):
+        if slot >= config.hop_enable_slot:
+            defender.advance(def_rng, avoid=last_jam)
+        tx = defender.channel
+        if slot >= config.attack_start_slot:
+            emit = attacker.step(tx)
+            sense = attacker.sensing_channel
+        else:
+            emit = None
+            sense = None
+        slot_delivered, slot_jammed = resolve_slot(tx, emit, config.loss_prob, phy_rng)
+        defender.record_and_detect(slot_delivered)
+        transmitted += 1
+        if slot_delivered:
+            delivered += 1
+            if queue.pop_retransmission():
+                recovered += 1
+        else:
+            if slot_jammed:
+                jammed += 1
+            queue.queue_retry()
+        if sense is not None:
+            attacker.observe(sense == tx)
+        last_jam = emit
+        if (slot + 1) % stride == 0:
+            outcome = "jammed" if slot_jammed else "delivered" if slot_delivered else "lost"
+            trace.append((((slot + 1) // stride) * period_s, defender.pdr, tx, emit, outcome))
+    power, timing = config.power_profile(), config.timing_profile()
+    tx_s = transmitted * timing.t_tx_data_s
+    rx_s = delivered * timing.t_rx_ack_s
+    idle_s = transmitted * config.slot_s - tx_s - rx_s
+    metrics = RunMetrics(
+        seed=seed,
+        transmitted=transmitted,
+        delivered=delivered,
+        jammed=jammed,
+        recovered=recovered,
+        detections=defender.detections,
+        hops=defender.hops,
+        extra_energy_j=jammed * retx_energy(power, timing),
+        total_energy_j=tx_s * power.p_tx_w + rx_s * power.p_rx_w + idle_s * power.p_idle_w,
+    )
+    return metrics, trace
+
+
+# Strides 10, 4, 2 and 1.
+SLOT_LENGTHS = (0.1, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def short_scenarios(draw):
+    """Small valid configs: (slot_s, slots, hop start, attack start, loss, knobs).
+
+    Phase starts are drawn in slots, from 0 through mid-period to past the
+    end; runs can be shorter than one emission period; small windows and
+    attacker knobs make detections, hops, scans and retrains happen.
+    """
+    slot_s = draw(st.sampled_from(SLOT_LENGTHS))
+    slots = draw(st.integers(1, 300))
+    phase = st.integers(0, slots + 15)
+    return {
+        "slot_s": slot_s,
+        "sim_duration_s": slots * slot_s,
+        "hop_enable_s": draw(phase) * slot_s,
+        "attack_start_s": draw(phase) * slot_s,
+        "loss_prob": draw(st.sampled_from((0.0, 0.0, 0.05, 0.3))),
+        "num_channels": draw(st.integers(2, 6)),
+        "detection_window_slots": draw(st.integers(1, 40)),
+        "detection_threshold": draw(st.sampled_from((0.5, 0.8, 1.0))),
+        "idle_trigger_slots": draw(st.integers(1, 8)),
+        "reactive_dwell_slots": draw(st.integers(1, 4)),
+        "listen_len_slots": draw(st.integers(1, 30)),
+        "eval_len_slots": draw(st.integers(1, 30)),
+        "retrain_trigger": draw(st.sampled_from((0.0, 0.3, 0.6))),
+        "oracle_burst_slots": draw(st.integers(1, 10)),
+        "oracle_cooldown_slots": draw(st.integers(0, 10)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+
+
+@pytest.mark.parametrize("defender", list(DEFENDERS))
+@pytest.mark.parametrize("attacker", list(ATTACKERS))
+@given(scenario=short_scenarios())
+# Shorter than one period, both phases from slot 0, lossy.
+@example(
+    scenario={"slot_s": 0.1, "sim_duration_s": 0.7, "hop_enable_s": 0.0, "attack_start_s": 0.0, "loss_prob": 0.3}
+)
+# Both phases start mid-period.
+@example(
+    scenario={"slot_s": 0.1, "sim_duration_s": 20.0, "hop_enable_s": 0.5, "attack_start_s": 1.3, "loss_prob": 0.05}
+)
+# Hopping starts past the end.
+@example(
+    scenario={"slot_s": 0.25, "sim_duration_s": 30.0, "hop_enable_s": 40.0, "attack_start_s": 0.0, "loss_prob": 0.0}
+)
+# The attack starts past the end.
+@example(
+    scenario={"slot_s": 0.5, "sim_duration_s": 30.0, "hop_enable_s": 0.0, "attack_start_s": 31.0, "loss_prob": 0.1}
+)
+def test_segment_stepped_loop_matches_the_per_slot_loop(attacker, defender, scenario):
+    config = ScenarioConfig(attacker=attacker, defender=defender, **scenario)
+    validate(config)
+    want, want_trace = reference_run(config, config.seed)
+    got = run_scenario(config, collect_trace=True)
+    assert got.as_row() == want.as_row()
+    assert got.trace == want_trace
+    assert got.transmitted == config.num_slots
+    assert all(0.0 <= pdr <= 1.0 for _, pdr, *_ in got.trace)
+    assert run_scenario(config).as_row() == want.as_row()

@@ -1,9 +1,9 @@
 """Pinned outputs: the simulator's results, byte for byte.
 
 ``tests/golden/pinned.json`` holds, for every (attacker, defender) pairing
-and seeds 1-3, each run's ``as_row()`` and its final ``pdr_series`` point,
-once at the reference scenario and once at a short lossy scenario that pins
-the order of the random-loss draws. It also holds the SHA-256 of the
+and seeds 1-3, each run's ``as_row()`` and the (t_s, pdr) of its last
+``collect_trace`` row, once at the reference scenario and once at a short
+lossy scenario that pins the order of the random-loss draws. It also holds the SHA-256 of the
 ``collect_trace`` rows of one run of a pairing the CLI trace path covers.
 
 A change that alters any output on purpose regenerates the file and says
@@ -38,13 +38,13 @@ def _pinned_runs(overrides: dict) -> list[dict]:
         for defender in DEFENDERS:
             config = ScenarioConfig(attacker=attacker, defender=defender, **overrides)
             for seed in SEEDS:
-                run = run_scenario(config, seed=seed)
+                run = run_scenario(config, seed=seed, collect_trace=True)
                 entries.append(
                     {
                         "attacker": attacker,
                         "defender": defender,
                         "row": run.as_row(),
-                        "final_point": list(run.pdr_series[-1]),
+                        "final_point": list(run.trace[-1][:2]),
                     }
                 )
     return entries

@@ -1,13 +1,8 @@
 import pytest
 
-from hopwar.metrics import (
-    EnergyLedger,
-    PowerProfile,
-    RunMetrics,
-    TimingProfile,
-    retx_energy,
-    total_energy,
-)
+from hopwar.config import ScenarioConfig
+from hopwar.engine import run_scenario
+from hopwar.metrics import PowerProfile, RunMetrics, TimingProfile, retx_energy
 
 POWER = PowerProfile()
 TIMING = TimingProfile()
@@ -29,10 +24,17 @@ def test_retx_energy_default_value():
 
 
 def test_total_energy_weights_each_state():
-    ledger = EnergyLedger(tx_s=1.0, rx_s=2.0, idle_s=3.0)
-    expected = 0.67 + 2 * 0.34 + 3 * 0.30
-    assert total_energy(ledger, POWER) == pytest.approx(expected)
-    assert total_energy(EnergyLedger(), POWER) == 0.0
+    # Every slot sends its data leg and a delivered slot hears its ack; the
+    # radio idles for the rest of each slot.
+    for attacker in ("oracle", "random"):
+        cfg = ScenarioConfig(attacker=attacker, sim_duration_s=60.0, p_tx_w=1.0, p_rx_w=2.0, p_idle_w=3.0)
+        m = run_scenario(cfg)
+        tx_s = m.transmitted * cfg.t_tx_data_s
+        rx_s = m.delivered * cfg.t_rx_ack_s
+        idle_s = m.transmitted * cfg.slot_s - tx_s - rx_s
+        assert m.total_energy_j == pytest.approx(1.0 * tx_s + 2.0 * rx_s + 3.0 * idle_s, rel=1e-12)
+    silent = ScenarioConfig(sim_duration_s=60.0, p_tx_w=0.0, p_rx_w=0.0, p_idle_w=0.0)
+    assert run_scenario(silent).total_energy_j == 0.0
 
 
 def test_conservation_identities():
