@@ -106,6 +106,16 @@ def test_a_run_of_failures_then_a_delivery_recovers_one_packet():
     assert m.delivered == 600 - 5
 
 
+def test_a_delivery_with_nothing_pending_recovers_nothing():
+    # No slot fails, so no delivery finds a packet waiting to be resent:
+    # an empty send queue yields no recovery.
+    cfg = short_config(attacker="oracle", attack_start_s=1e6)
+    m = run_scenario(cfg)
+    assert m.jammed == 0
+    assert m.delivered == 600
+    assert m.recovered == 0
+
+
 def test_trace_only_when_requested():
     cfg = short_config()
     assert run_scenario(cfg).trace is None
