@@ -18,7 +18,7 @@ from collections import deque
 
 import numpy as np
 
-from .bandit import WindowedThompsonSampler
+from .bandit import ThompsonSampler
 
 # Posterior memory of the adaptive jammer, in plays per arm. Shorter makes
 # it re-acquire faster (stronger); longer makes it more conservative.
@@ -39,17 +39,15 @@ class RandomJammer:
     def __init__(self, num_channels: int, rng: np.random.Generator) -> None:
         self.num_channels = num_channels
         self._rng = rng
+        # Unspent channels of the current block, last-first, spent with pop().
         self._block: list[int] = []
-        self._cursor = 0
         self.sensing_channel: int | None = None
 
     def step(self, victim_channel: int) -> int | None:
-        if self._cursor >= len(self._block):
-            self._block = self._rng.integers(0, self.num_channels, _RANDOM_BLOCK).tolist()
-            self._cursor = 0
-        channel = self._block[self._cursor]
-        self._cursor += 1
-        return channel
+        block = self._block
+        if not block:
+            block = self._block = self._rng.integers(0, self.num_channels, _RANDOM_BLOCK).tolist()[::-1]
+        return block.pop()
 
     def observe(self, sensed_busy: bool) -> None:
         pass
@@ -114,19 +112,16 @@ class BanditJammer:
     """
 
     def __init__(self, num_channels: int, rng: np.random.Generator) -> None:
-        self.sampler = WindowedThompsonSampler(num_channels, BANDIT_WINDOW_PLAYS)
+        self.sampler = ThompsonSampler(num_channels, BANDIT_WINDOW_PLAYS)
         self._rng = rng
-        self._arm: int | None = None
         self.sensing_channel: int | None = None
 
     def step(self, victim_channel: int) -> int | None:
-        self._arm = self.sampler.select_arm(self._rng)
-        self.sensing_channel = self._arm
-        return self._arm
+        arm = self.sensing_channel = self.sampler.select_arm(self._rng)
+        return arm
 
     def observe(self, sensed_busy: bool) -> None:
-        if self._arm is not None:
-            self.sampler.update(self._arm, sensed_busy)
+        self.sampler.update(self.sensing_channel, sensed_busy)
 
 
 class PhasedJammer:
@@ -154,7 +149,6 @@ class PhasedJammer:
         self._listen_left = listen_len
         self._sweep = 0
         self._probe = 0
-        self._target: int | None = None
         self._est: deque[int] = deque(maxlen=eval_len)
         self._est_sum = 0
 
@@ -170,7 +164,6 @@ class PhasedJammer:
             # Map exhausted: probe round-robin until a channel answers.
             best = self._probe
             self._probe = (self._probe + 1) % self.num_channels
-        self._target = best
         self.sensing_channel = best
         return best
 
@@ -184,9 +177,7 @@ class PhasedJammer:
             if self._listen_left <= 0:
                 self.listening = False
             return
-        target = self._target
-        if target is None:
-            return
+        target = self.sensing_channel
         if sensed_busy:
             self.counts[target] = min(PHASED_COUNT_CAP, self.counts[target] + 1.0)
         else:
@@ -202,7 +193,6 @@ class PhasedJammer:
             self.listening = True
             self.counts = [0.0] * self.num_channels
             self._listen_left = self.listen_len
-            self._target = None
             est.clear()
             self._est_sum = 0
 
@@ -223,7 +213,6 @@ class OracleJammer:
             raise ValueError("burst_slots must be positive")
         self.burst_slots = burst_slots
         self.cooldown_slots = cooldown_slots
-        self.target: int | None = None
         self.sensing_channel: int | None = None
         self._phase_left = burst_slots
         self._attacking = True
@@ -234,22 +223,17 @@ class OracleJammer:
             if self._phase_left <= 0:
                 self._attacking = True
                 self._phase_left = self.burst_slots
-            self.target = None
             return None
-        self.target = victim_channel
         self._phase_left -= 1
         if self._phase_left <= 0 and self.cooldown_slots > 0:
             self._attacking = False
             self._phase_left = self.cooldown_slots
         elif self._phase_left <= 0:
             self._phase_left = self.burst_slots
-        return self.target
+        return victim_channel
 
     def observe(self, sensed_busy: bool) -> None:
         pass
-
-
-Jammer = RandomJammer | ReactiveJammer | BanditJammer | PhasedJammer | OracleJammer
 
 
 # Name -> constructor from (config, attacker rng): the one place to add an
@@ -267,6 +251,6 @@ ATTACKERS = {
 }
 
 
-def make_attacker(config, rng: np.random.Generator) -> Jammer:
+def make_attacker(config, rng: np.random.Generator):
     """Build the attacker ``config.attacker`` names, drawing from ``rng``."""
     return ATTACKERS[config.attacker](config, rng)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .attacker import ATTACKERS
 from .defender import DEFENDERS
-from .metrics import PowerProfile, TimingProfile
 
 
 # Upper limits on the knobs that size allocations. Every attacker and the
@@ -49,14 +48,15 @@ class ScenarioConfig:
     # Random loss on otherwise clean slots
     loss_prob: float = 0.0
 
-    # Energy model; the defaults live in the profiles
-    p_tx_w: float = PowerProfile.p_tx_w
-    p_rx_w: float = PowerProfile.p_rx_w
-    p_idle_w: float = PowerProfile.p_idle_w
-    t_tx_data_s: float = TimingProfile.t_tx_data_s
-    t_rx_data_s: float = TimingProfile.t_rx_data_s
-    t_tx_ack_s: float = TimingProfile.t_tx_ack_s
-    t_rx_ack_s: float = TimingProfile.t_rx_ack_s
+    # Energy model (formulas in ``metrics``): radio power per state, watts,
+    # and air time per packet exchange leg, seconds
+    p_tx_w: float = 0.67
+    p_rx_w: float = 0.34
+    p_idle_w: float = 0.30
+    t_tx_data_s: float = 0.00397
+    t_rx_data_s: float = 0.00695
+    t_tx_ack_s: float = 0.00002
+    t_rx_ack_s: float = 0.00003
 
     # Attacker knobs
     idle_trigger_slots: int = 58
@@ -79,18 +79,10 @@ class ScenarioConfig:
     def hop_enable_slot(self) -> int:
         return int(round(self.hop_enable_s / self.slot_s))
 
-    def power_profile(self) -> PowerProfile:
-        return PowerProfile(self.p_tx_w, self.p_rx_w, self.p_idle_w)
-
-    def timing_profile(self) -> TimingProfile:
-        return TimingProfile(self.t_tx_data_s, self.t_rx_data_s, self.t_tx_ack_s, self.t_rx_ack_s)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 _FIELD_TYPES = {f.name: type(f.default) for f in fields(ScenarioConfig)}
-_ENERGY_KEYS = [f.name for f in fields(PowerProfile) + fields(TimingProfile)]
+# The energy model's powers (p_*_w) and air times (t_*_s).
+_ENERGY_KEYS = [key for key in _FIELD_TYPES if key.startswith(("p_", "t_"))]
 
 
 def _convert(key: str, raw: str):

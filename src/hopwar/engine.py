@@ -33,7 +33,7 @@ import numpy as np
 from .attacker import make_attacker
 from .config import ScenarioConfig
 from .defender import Defender
-from .metrics import RunMetrics, retx_energy
+from .metrics import RunMetrics, retx_energy, total_energy
 from .phy import resolve_slot
 
 _DEFENDER_STREAM = 0
@@ -134,14 +134,6 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
                 outcome = "lost"
             trace.append(((stop // stride) * period_s, defender.pdr, tx, emit, outcome))
 
-    # Radio energy: every slot sends its data leg, a delivered slot also
-    # hears its ack, and the radio idles for the rest of the slot.
-    power = config.power_profile()
-    timing = config.timing_profile()
-    tx_s = num_slots * timing.t_tx_data_s
-    rx_s = delivered * timing.t_rx_ack_s
-    idle_s = num_slots * slot_s - tx_s - rx_s
-
     return RunMetrics(
         seed=seed,
         transmitted=num_slots,
@@ -150,8 +142,8 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
         recovered=recovered,
         detections=defender.detections,
         hops=defender.hops,
-        extra_energy_j=jammed * retx_energy(power, timing),
-        total_energy_j=tx_s * power.p_tx_w + rx_s * power.p_rx_w + idle_s * power.p_idle_w,
+        extra_energy_j=jammed * retx_energy(config),
+        total_energy_j=total_energy(config, delivered),
         trace=trace,
     )
 

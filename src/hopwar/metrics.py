@@ -1,4 +1,8 @@
-"""Per-run counters, delivery accounting, and the radio energy model."""
+"""Per-run counters, delivery accounting, and the radio energy model.
+
+The energy formulas read the power (``p_*_w``) and air-time (``t_*_s``)
+fields of a ``ScenarioConfig``, which holds their defaults.
+"""
 
 from __future__ import annotations
 
@@ -9,30 +13,24 @@ def _safe_div(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
-@dataclass(frozen=True)
-class PowerProfile:
-    """Radio power draw per state, watts."""
-
-    p_tx_w: float = 0.67
-    p_rx_w: float = 0.34
-    p_idle_w: float = 0.30
-
-
-@dataclass(frozen=True)
-class TimingProfile:
-    """Air time per packet exchange leg, seconds."""
-
-    t_tx_data_s: float = 0.00397
-    t_rx_data_s: float = 0.00695
-    t_tx_ack_s: float = 0.00002
-    t_rx_ack_s: float = 0.00003
-
-
-def retx_energy(power: PowerProfile, timing: TimingProfile) -> float:
+def retx_energy(config) -> float:
     """Joules burned by one retransmission: the data leg plus its ack."""
-    data = timing.t_tx_data_s * power.p_tx_w + timing.t_rx_data_s * power.p_rx_w
-    ack = timing.t_tx_ack_s * power.p_tx_w + timing.t_rx_ack_s * power.p_rx_w
+    data = config.t_tx_data_s * config.p_tx_w + config.t_rx_data_s * config.p_rx_w
+    ack = config.t_tx_ack_s * config.p_tx_w + config.t_rx_ack_s * config.p_rx_w
     return data + ack
+
+
+def total_energy(config, delivered: int) -> float:
+    """Joules the victim's radio draws over a run that delivered ``delivered`` packets.
+
+    Every slot sends its data leg, a delivered slot also hears its ack, and
+    the radio idles for the rest of the slot.
+    """
+    num_slots = config.num_slots
+    tx_s = num_slots * config.t_tx_data_s
+    rx_s = delivered * config.t_rx_ack_s
+    idle_s = num_slots * config.slot_s - tx_s - rx_s
+    return tx_s * config.p_tx_w + rx_s * config.p_rx_w + idle_s * config.p_idle_w
 
 
 @dataclass

@@ -29,7 +29,7 @@ import pytest
 from hopwar.bandit import ThompsonSampler
 from hopwar.config import ScenarioConfig
 from hopwar.engine import SUMMARY_HEADER, run_batch, summary_row
-from hopwar.metrics import PowerProfile, TimingProfile, retx_energy
+from hopwar.metrics import retx_energy
 
 ATTACKERS = ["random", "reactive", "bandit", "phased", "oracle"]
 RUNS = 200
@@ -123,7 +123,7 @@ def test_thompson_sampling_locks_onto_the_best_arm():
 
 def test_retransmission_energy_model():
     t0 = time.perf_counter()
-    one_retx = retx_energy(PowerProfile(), TimingProfile())
+    one_retx = retx_energy(ScenarioConfig())
     # Direct substitution of the default power/timing constants.
     data_leg = 0.00397 * 0.67 + 0.00695 * 0.34
     ack_leg = 0.00002 * 0.67 + 0.00003 * 0.34

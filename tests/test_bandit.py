@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from hopwar.bandit import ThompsonSampler, WindowedThompsonSampler
+from hopwar.bandit import ThompsonSampler
 
 
 class ConstantRng:
@@ -108,7 +108,7 @@ def test_rejects_nonpositive_arm_count():
 
 
 def test_windowed_evicts_the_oldest_play():
-    s = WindowedThompsonSampler(2, window=3)
+    s = ThompsonSampler(2, window=3)
     for r in (1, 1, 1):
         s.update(0, r)
     assert (s.arms[0].alpha, s.arms[0].beta) == (4.0, 1.0)
@@ -122,7 +122,7 @@ def test_windowed_posterior_matches_the_tail_of_the_history():
     for _ in range(100):
         n = pyrng.randint(1, 6)
         w = pyrng.randint(1, 12)
-        s = WindowedThompsonSampler(n, window=w)
+        s = ThompsonSampler(n, window=w)
         seen = [[] for _ in range(n)]
         for _ in range(pyrng.randint(0, 200)):
             arm = pyrng.randrange(n)
@@ -138,7 +138,7 @@ def test_windowed_posterior_matches_the_tail_of_the_history():
 def test_windowed_forgets_old_pessimism():
     # Fifty failures mean little once a window of successes replaces them;
     # the unwindowed posterior would still be drowning in them.
-    s = WindowedThompsonSampler(2, window=10)
+    s = ThompsonSampler(2, window=10)
     for _ in range(50):
         s.update(0, 0)
     for _ in range(10):
@@ -148,4 +148,4 @@ def test_windowed_forgets_old_pessimism():
 
 def test_windowed_rejects_nonpositive_window():
     with pytest.raises(ValueError):
-        WindowedThompsonSampler(3, window=0)
+        ThompsonSampler(3, window=0)

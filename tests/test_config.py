@@ -1,3 +1,5 @@
+from dataclasses import asdict, replace
+
 import pytest
 
 from hopwar.config import (
@@ -9,6 +11,9 @@ from hopwar.config import (
     parse_config_text,
     validate,
 )
+from hopwar.metrics import retx_energy, total_energy
+
+ENERGY_KEYS = ("p_tx_w", "p_rx_w", "p_idle_w", "t_tx_data_s", "t_rx_data_s", "t_tx_ack_s", "t_rx_ack_s")
 
 
 def test_defaults_describe_the_reference_scenario():
@@ -136,14 +141,32 @@ def test_validation_rejects_slot_counts_that_overflow():
         validate(ScenarioConfig(sim_duration_s=1e300, slot_s=1e-10))
 
 
-def test_profile_builders_carry_the_config_values():
-    cfg = ScenarioConfig(p_tx_w=1.0, t_tx_ack_s=0.5)
-    assert cfg.power_profile().p_tx_w == 1.0
-    assert cfg.timing_profile().t_tx_ack_s == 0.5
+def test_energy_knobs_reach_both_formulas():
+    cfg = ScenarioConfig(
+        sim_duration_s=10.0,
+        p_tx_w=1.0,
+        p_rx_w=2.0,
+        p_idle_w=4.0,
+        t_tx_data_s=0.01,
+        t_rx_data_s=0.02,
+        t_tx_ack_s=0.03,
+        t_rx_ack_s=0.04,
+    )
+    validate(cfg)
+    assert retx_energy(cfg) == pytest.approx(0.01 * 1.0 + 0.02 * 2.0 + 0.03 * 1.0 + 0.04 * 2.0, rel=1e-12)
+    # 100 slots of 0.1 s, 60 of them delivered and acknowledged.
+    tx_s, rx_s = 100 * 0.01, 60 * 0.04
+    idle_s = 10.0 - tx_s - rx_s
+    assert total_energy(cfg, 60) == pytest.approx(1.0 * tx_s + 2.0 * rx_s + 4.0 * idle_s, rel=1e-12)
+    # Every knob moves at least one of the two formulas off its default.
+    base = ScenarioConfig()
+    for key in ENERGY_KEYS:
+        moved = replace(base, **{key: getattr(base, key) * 2})
+        assert (retx_energy(moved), total_energy(moved, 60)) != (retx_energy(base), total_energy(base, 60)), key
 
 
 def test_as_dict_is_flat_and_complete():
-    d = ScenarioConfig().as_dict()
+    d = asdict(ScenarioConfig())
     assert d["num_channels"] == 12
     assert d["oracle_cooldown_slots"] == 154
     assert len(d) == 26

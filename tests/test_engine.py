@@ -65,7 +65,7 @@ def test_conservation_for_every_attacker():
 def test_extra_energy_is_retransmissions_times_unit_cost():
     cfg = short_config(attacker="oracle", oracle_burst_slots=5, oracle_cooldown_slots=5)
     m = run_scenario(cfg)
-    unit = retx_energy(cfg.power_profile(), cfg.timing_profile())
+    unit = retx_energy(cfg)
     assert m.extra_energy_j == pytest.approx(m.retransmissions * unit, abs=0.0)
 
 
@@ -295,9 +295,8 @@ def reference_run(config, seed):
         if (slot + 1) % stride == 0:
             outcome = "jammed" if slot_jammed else "delivered" if slot_delivered else "lost"
             trace.append((((slot + 1) // stride) * period_s, defender.pdr, tx, emit, outcome))
-    power, timing = config.power_profile(), config.timing_profile()
-    tx_s = transmitted * timing.t_tx_data_s
-    rx_s = delivered * timing.t_rx_ack_s
+    tx_s = transmitted * config.t_tx_data_s
+    rx_s = delivered * config.t_rx_ack_s
     idle_s = transmitted * config.slot_s - tx_s - rx_s
     metrics = RunMetrics(
         seed=seed,
@@ -307,8 +306,8 @@ def reference_run(config, seed):
         recovered=recovered,
         detections=defender.detections,
         hops=defender.hops,
-        extra_energy_j=jammed * retx_energy(power, timing),
-        total_energy_j=tx_s * power.p_tx_w + rx_s * power.p_rx_w + idle_s * power.p_idle_w,
+        extra_energy_j=jammed * retx_energy(config),
+        total_energy_j=tx_s * config.p_tx_w + rx_s * config.p_rx_w + idle_s * config.p_idle_w,
     )
     return metrics, trace
 

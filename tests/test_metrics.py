@@ -2,25 +2,24 @@ import pytest
 
 from hopwar.config import ScenarioConfig
 from hopwar.engine import run_scenario
-from hopwar.metrics import PowerProfile, RunMetrics, TimingProfile, retx_energy
+from hopwar.metrics import RunMetrics, retx_energy
 
-POWER = PowerProfile()
-TIMING = TimingProfile()
+DEFAULTS = ScenarioConfig()
 
 
 def test_retx_energy_is_the_sum_of_its_four_legs():
     expected = (
-        TIMING.t_tx_data_s * POWER.p_tx_w
-        + TIMING.t_rx_data_s * POWER.p_rx_w
-        + TIMING.t_tx_ack_s * POWER.p_tx_w
-        + TIMING.t_rx_ack_s * POWER.p_rx_w
+        DEFAULTS.t_tx_data_s * DEFAULTS.p_tx_w
+        + DEFAULTS.t_rx_data_s * DEFAULTS.p_rx_w
+        + DEFAULTS.t_tx_ack_s * DEFAULTS.p_tx_w
+        + DEFAULTS.t_rx_ack_s * DEFAULTS.p_rx_w
     )
-    assert retx_energy(POWER, TIMING) == pytest.approx(expected, abs=0.0)
+    assert retx_energy(DEFAULTS) == pytest.approx(expected, abs=0.0)
 
 
 def test_retx_energy_default_value():
     # Data leg 0.00397*0.67 + 0.00695*0.34, ack leg 0.00002*0.67 + 0.00003*0.34.
-    assert retx_energy(POWER, TIMING) == pytest.approx(0.0050465, abs=1e-7)
+    assert retx_energy(DEFAULTS) == pytest.approx(0.0050465, abs=1e-7)
 
 
 def test_total_energy_weights_each_state():
