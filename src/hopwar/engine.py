@@ -142,7 +142,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
         recovered=recovered,
         detections=defender.detections,
         hops=defender.hops,
-        extra_energy_j=jammed * retx_energy(config),
+        extra_energy_j=(num_slots - delivered) * retx_energy(config),
         total_energy_j=total_energy(config, delivered),
         trace=trace,
     )

@@ -37,11 +37,11 @@ def total_energy(config, delivered: int) -> float:
 class RunMetrics:
     """Everything one simulation run reports.
 
-    A jammed packet goes back on the send queue and is retried next slot,
-    so every jammed slot costs exactly one retransmission. A retry that
-    goes through counts the original packet as recovered; only packets
-    whose retry was itself jammed stay unrecovered, which is what the
-    delivery ratio charges for.
+    A packet that fails its slot, jammed or lost, goes back on the send
+    queue and is retried next slot, so every failed slot costs exactly one
+    retransmission. A retry that goes through counts the original packet as
+    recovered; only packets whose retry failed too stay unrecovered, which
+    is what the delivery ratio charges for.
 
     The run keeps its counters only; ``trace`` holds the per-period samples
     of a run simulated with ``collect_trace`` and is None otherwise.
@@ -60,7 +60,7 @@ class RunMetrics:
 
     @property
     def retransmissions(self) -> int:
-        return self.jammed
+        return self.transmitted - self.delivered
 
     @property
     def final_pdr(self) -> float:

@@ -306,7 +306,7 @@ def reference_run(config, seed):
         recovered=recovered,
         detections=defender.detections,
         hops=defender.hops,
-        extra_energy_j=jammed * retx_energy(config),
+        extra_energy_j=(transmitted - delivered) * retx_energy(config),
         total_energy_j=tx_s * config.p_tx_w + rx_s * config.p_rx_w + idle_s * config.p_idle_w,
     )
     return metrics, trace
@@ -376,3 +376,19 @@ def test_segment_stepped_loop_matches_the_per_slot_loop(attacker, defender, scen
     assert got.transmitted == config.num_slots
     assert all(0.0 <= pdr <= 1.0 for _, pdr, *_ in got.trace)
     assert run_scenario(config).as_row() == want.as_row()
+
+
+@pytest.mark.parametrize("defender", list(DEFENDERS))
+@pytest.mark.parametrize("attacker", list(ATTACKERS))
+@given(scenario=short_scenarios())
+# A lossy run at the reference slot length, long enough for lost retries to
+# outnumber the jams a recovery could follow.
+@example(scenario={"sim_duration_s": 120.0, "loss_prob": 0.1, "seed": 1})
+def test_accounting_identities_hold_for_every_config(attacker, defender, scenario):
+    config = ScenarioConfig(attacker=attacker, defender=defender, **scenario)
+    validate(config)
+    m = run_scenario(config)
+    assert m.delivered + m.jammed <= m.transmitted
+    assert m.recovered <= m.retransmissions
+    assert m.extra_energy_j == m.retransmissions * retx_energy(config)
+    assert 0.0 <= m.final_pdr <= 1.0
