@@ -17,11 +17,14 @@ from .attacker import ATTACKERS
 from .defender import DEFENDERS
 
 
-# Upper limits on the knobs that size allocations. Every attacker and the
-# smart defender keep per-channel lists and scan them each step or hop, and
-# a batch holds all of its runs in memory.
+# Upper limits on the knobs that size allocations or run time. Every
+# attacker and the smart defender keep per-channel lists and scan them each
+# step or hop, and a batch holds all of its runs in memory. A run steps
+# through every one of its slots, 10**8 of them already take minutes, and a
+# traced run keeps one row per simulated second.
 MAX_CHANNELS = 1024
 MAX_RUNS = 10_000
+MAX_SLOTS = 10**8
 
 
 class ConfigError(Exception):
@@ -153,6 +156,8 @@ def validate(config: ScenarioConfig) -> None:
         problems.append("sim_duration_s must be positive")
     if config.slot_s > 0 and config.sim_duration_s > 0 and config.num_slots < 1:
         problems.append("simulation must cover at least one slot")
+    if config.slot_s > 0 and config.num_slots > MAX_SLOTS:
+        problems.append(f"sim_duration_s / slot_s must be at most {MAX_SLOTS} slots")
     if config.attack_start_s < 0:
         problems.append("attack_start_s must not be negative")
     if config.hop_enable_s < 0:

@@ -7,20 +7,24 @@ fields of a ``ScenarioConfig``, which holds their defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 
 def _safe_div(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
-def retx_energy(config) -> float:
+def retx_energy(config: ScenarioConfig) -> float:
     """Joules burned by one retransmission: the data leg plus its ack."""
     data = config.t_tx_data_s * config.p_tx_w + config.t_rx_data_s * config.p_rx_w
     ack = config.t_tx_ack_s * config.p_tx_w + config.t_rx_ack_s * config.p_rx_w
     return data + ack
 
 
-def total_energy(config, delivered: int) -> float:
+def total_energy(config: ScenarioConfig, delivered: int) -> float:
     """Joules the victim's radio draws over a run that delivered ``delivered`` packets.
 
     Every slot sends its data leg, a delivered slot also hears its ack, and

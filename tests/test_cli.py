@@ -174,6 +174,22 @@ def test_oversized_phased_estimate_window_is_exit_1(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_unbounded_slot_count_is_exit_1(tmp_path):
+    # sim_duration_s = 1e12 is 10**13 slots: it once validated and would
+    # have simulated for months.
+    path = tmp_path / "bad.cfg"
+    path.write_text("attacker = oracle\nsim_duration_s = 1e12\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopwar", "run", "--config", str(path), "--out-dir", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_output_does_not_depend_on_the_core_count(config_file, tmp_path, monkeypatch):
     outputs = {}
     for cores in (1, 2):

@@ -1,10 +1,15 @@
-from dataclasses import asdict, replace
+import re
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopwar.config import (
     MAX_CHANNELS,
     MAX_RUNS,
+    MAX_SLOTS,
     ConfigError,
     ScenarioConfig,
     load_config,
@@ -124,6 +129,8 @@ def test_load_config_validates(tmp_path):
         ("t_rx_ack_s", -0.001),
         ("t_tx_data_s", 0.2),
         ("t_rx_ack_s", 0.1),
+        ("sim_duration_s", 1e12),
+        ("sim_duration_s", (MAX_SLOTS + 1) * 0.1),
     ],
 )
 def test_validation_rejects(field, value):
@@ -134,6 +141,7 @@ def test_validation_rejects(field, value):
 
 def test_validation_accepts_the_upper_limits():
     validate(ScenarioConfig(num_channels=MAX_CHANNELS, runs=MAX_RUNS))
+    validate(ScenarioConfig(sim_duration_s=MAX_SLOTS * 0.1))
 
 
 def test_validation_rejects_slot_counts_that_overflow():
@@ -170,3 +178,60 @@ def test_as_dict_is_flat_and_complete():
     assert d["num_channels"] == 12
     assert d["oracle_cooldown_slots"] == 154
     assert len(d) == 26
+
+
+KEYS = [f.name for f in fields(ScenarioConfig)]
+HOSTILE_VALUES = (
+    "nan",
+    "-nan",
+    "inf",
+    "-inf",
+    "1e308",
+    "-1e308",
+    "5e-324",
+    "-5e-324",
+    "9" * 5000,
+    "-" + "9" * 5000,
+    "1" + "0" * 30,
+    "18446744073709551616",
+    "1e12",
+    "",
+    "0",
+    "-1",
+    "bandit",
+    "smart",
+)
+VALUES = st.one_of(
+    st.sampled_from(HOSTILE_VALUES),
+    st.integers().map(str),
+    st.integers(0, 2**70).map(str),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789.-+eE_xnaif #=", max_size=12),
+)
+
+
+@settings(max_examples=400)
+@given(lines=st.lists(st.tuples(st.sampled_from(KEYS), VALUES), max_size=4))
+def test_fuzzed_config_text_fails_only_with_config_errors(lines):
+    text = "\n".join(f"{key} = {value}" for key, value in lines)
+    try:
+        config = parse_config_text(text)
+        validate(config)
+    except ConfigError:
+        return
+    assert 2 <= config.num_channels <= MAX_CHANNELS
+    assert 1 <= config.runs <= MAX_RUNS
+    assert 1 <= config.num_slots <= MAX_SLOTS
+
+
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "scenario.cfg"
+
+
+def test_shipped_example_config_loads_and_shows_real_defaults():
+    load_config(SHIPPED_CONFIG)
+    defaults = ScenarioConfig()
+    commented = re.findall(r"^#\s*(\w+)\s*=\s*(\S+)", SHIPPED_CONFIG.read_text(), re.MULTILINE)
+    assert commented
+    for key, raw in commented:
+        parsed = parse_config_text(f"{key} = {raw}")
+        assert getattr(parsed, key) == getattr(defaults, key), key
