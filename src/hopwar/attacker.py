@@ -151,6 +151,8 @@ class PhasedJammer:
         self._probe = 0
         self._est: deque[int] = deque(maxlen=eval_len)
         self._est_sum = 0
+        # Retrain when the hits in a full estimate window fall below this.
+        self._retrain_below = retrain_trigger * eval_len
 
     def step(self, victim_channel: int) -> int | None:
         if self.listening:
@@ -168,10 +170,12 @@ class PhasedJammer:
         return best
 
     def observe(self, sensed_busy: bool) -> None:
+        counts = self.counts
         if self.listening:
             if sensed_busy:
                 ch = self._sweep
-                self.counts[ch] = min(PHASED_COUNT_CAP, self.counts[ch] + 1.0)
+                count = counts[ch] + 1.0
+                counts[ch] = count if count < PHASED_COUNT_CAP else PHASED_COUNT_CAP
             self._sweep = (self._sweep + 1) % self.num_channels
             self._listen_left -= 1
             if self._listen_left <= 0:
@@ -179,15 +183,19 @@ class PhasedJammer:
             return
         target = self.sensing_channel
         if sensed_busy:
-            self.counts[target] = min(PHASED_COUNT_CAP, self.counts[target] + 1.0)
+            hit = 1
+            count = counts[target] + 1.0
+            counts[target] = count if count < PHASED_COUNT_CAP else PHASED_COUNT_CAP
         else:
-            self.counts[target] = max(0.0, self.counts[target] - PHASED_MISS_DECREMENT)
+            hit = 0
+            count = counts[target] - PHASED_MISS_DECREMENT
+            counts[target] = count if count > 0.0 else 0.0
         est = self._est
-        if len(est) == self.eval_len:
-            self._est_sum -= est[0]
-        est.append(1 if sensed_busy else 0)
-        self._est_sum += 1 if sensed_busy else 0
-        if len(est) == self.eval_len and self._est_sum < self.retrain_trigger * self.eval_len:
+        filled = len(est)
+        # A full estimate window drops its oldest slot as this one enters.
+        self._est_sum += hit - est[0] if filled == self.eval_len else hit
+        est.append(hit)
+        if filled + 1 >= self.eval_len and self._est_sum < self._retrain_below:
             # The map went stale: drop it and listen again.
             self.retrains += 1
             self.listening = True

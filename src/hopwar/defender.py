@@ -51,6 +51,12 @@ SMART_REHOME_SLOTS = 45
 # Probe coins drawn per generator call; a block holds the values the same
 # number of scalar draws would, and nothing else draws from the stream.
 SMART_COIN_BLOCK = 64
+# Decay factors ``decay ** age`` for the ages a tally is usually read at,
+# built with the same ``**`` the longer ages still use, so a table entry and
+# the power it replaces are the same float. Most reads are one slot old.
+SMART_DECAY_TABLE_LEN = 256
+_SUCCESS_DECAY_POW = [SMART_SUCCESS_DECAY**k for k in range(SMART_DECAY_TABLE_LEN)]
+_FAILURE_DECAY_POW = [SMART_FAILURE_DECAY**k for k in range(SMART_DECAY_TABLE_LEN)]
 
 
 class BaseDefender:
@@ -195,8 +201,12 @@ class SmartDefender(BaseDefender):
         means = []
         for s, f, stamp in zip(self._succ, self._fail, self._stamp):
             age = now - stamp
-            s *= SMART_SUCCESS_DECAY**age
-            f *= SMART_FAILURE_DECAY**age
+            if age < SMART_DECAY_TABLE_LEN:
+                s *= _SUCCESS_DECAY_POW[age]
+                f *= _FAILURE_DECAY_POW[age]
+            else:
+                s *= SMART_SUCCESS_DECAY**age
+                f *= SMART_FAILURE_DECAY**age
             means.append((1.0 + s) / (2.0 + s + f))
         for ch in self._burned:
             means[ch] = -1.0
@@ -217,8 +227,12 @@ class SmartDefender(BaseDefender):
         channel = self.channel
         age = now - self._stamp[channel]
         self._stamp[channel] = now
-        succ = self._succ[channel] * SMART_SUCCESS_DECAY**age
-        fail = self._fail[channel] * SMART_FAILURE_DECAY**age
+        if age < SMART_DECAY_TABLE_LEN:
+            succ = self._succ[channel] * _SUCCESS_DECAY_POW[age]
+            fail = self._fail[channel] * _FAILURE_DECAY_POW[age]
+        else:
+            succ = self._succ[channel] * SMART_SUCCESS_DECAY**age
+            fail = self._fail[channel] * SMART_FAILURE_DECAY**age
         if delivered:
             succ += 1.0
             if self._probing:
@@ -233,7 +247,8 @@ class SmartDefender(BaseDefender):
                 self._streak += 1
         self._succ[channel] = succ
         self._fail[channel] = fail
-        return super().record_and_detect(delivered)
+        # A direct call: super() costs a frame lookup on every slot.
+        return BaseDefender.record_and_detect(self, delivered)
 
 
 # Name -> constructor from the config: the one place to add a hop policy.

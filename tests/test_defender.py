@@ -8,6 +8,7 @@ from hopwar.attacker import ATTACKERS
 from hopwar.config import ScenarioConfig
 from hopwar.defender import (
     SMART_AVOID_RECENT,
+    SMART_DECAY_TABLE_LEN,
     SMART_FAILURE_DECAY,
     SMART_FLEE_STREAK,
     SMART_PROBE_PROB,
@@ -273,6 +274,23 @@ def test_decay_on_read_picks_the_homes_eager_tallies_pick(monkeypatch, loss_prob
             assert run.hops > 0
     assert runs == 100
     assert EagerCheckedSmartDefender.moves > 10_000
+
+
+@pytest.mark.parametrize("age", [1, 2, SMART_DECAY_TABLE_LEN - 1, SMART_DECAY_TABLE_LEN, 1000])
+def test_a_tally_read_at_any_age_decays_by_the_power(age):
+    # Ages inside the decay tables and past them must give the float that
+    # ``v * decay ** age`` gives.
+    d = smart()
+    d.record_and_detect(True)
+    d.record_and_detect(False)
+    succ, fail = d._succ[0], d._fail[0]
+    d.channel = 1
+    for _ in range(age - 1):
+        d.record_and_detect(True)
+    d.channel = 0
+    d.record_and_detect(True)
+    assert d._succ[0] == succ * SMART_SUCCESS_DECAY**age + 1.0
+    assert d._fail[0] == fail * SMART_FAILURE_DECAY**age
 
 
 def test_probe_coins_drawn_in_blocks_decide_as_scalar_draws_do():
