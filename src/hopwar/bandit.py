@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Block sizes for the per-arm sample cache. Arms whose posterior just changed
-# get a short block because the next update will invalidate it again; stable
-# arms amortize one generator call over many selections.
+# Block sizes for the per-arm sample cache. Arms whose posterior just moved
+# get a short block because the next update is likely to move it again;
+# stable arms amortize one generator call over many selections.
 _HOT_BLOCK = 4
 _COLD_BLOCK = 64
 
@@ -44,6 +44,13 @@ class ThompsonSampler:
     :meth:`update`, the only place a posterior moves: an arm chosen now has
     its outcome observed one step later, so a freshly selected arm still
     shows its old posterior until its reward lands.
+
+    Samples are drawn in per-arm blocks and spent one per selection. An
+    update that moves an arm's posterior discards the arm's unspent
+    samples, so its next selection draws a fresh short block. An update
+    that leaves the posterior as it was, a full window whose oldest reward
+    equals the new one, keeps them: they are unused independent draws from
+    the same Beta, so selection is still exact Thompson sampling.
 
     With a ``window``, each arm's posterior is built from its last
     ``window`` observed plays only. Accumulated evidence saturates against
@@ -97,16 +104,23 @@ class ThompsonSampler:
         return best
 
     def update(self, arm: int, reward: int) -> None:
-        """Fold one observed reward (0 or 1) into ``arm``'s posterior."""
+        """Fold one observed reward (0 or 1) into ``arm``'s posterior.
+
+        The arm's cached samples are discarded only if its posterior moved.
+        """
         r = 1 if reward else 0
         if self._history is not None:
             history = self._history[arm]
             if len(history) == self.window:
                 # The oldest observation slides out of the posterior.
                 old = history[0]
+                history.append(r)
+                if old == r:
+                    return
                 self._alpha[arm] -= old
                 self._beta[arm] -= 1 - old
-            history.append(r)
+            else:
+                history.append(r)
         self._alpha[arm] += r
         self._beta[arm] += 1 - r
         self._cache[arm] = None

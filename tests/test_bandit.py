@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from hopwar.bandit import ThompsonSampler
+from hopwar.bandit import _HOT_BLOCK, ThompsonSampler
 
 
 class ConstantRng:
@@ -16,6 +16,18 @@ class ConstantRng:
         if size is None:
             return self.value
         return np.full(size, self.value)
+
+
+class CountingRng:
+    """Stand-in generator with real beta draws that records each call as (alpha, beta, size)."""
+
+    def __init__(self, seed=0):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def beta(self, a, b, size=None):
+        self.calls.append((a, b, size))
+        return self._rng.beta(a, b, size)
 
 
 def test_prior_is_uniform():
@@ -149,3 +161,45 @@ def test_windowed_forgets_old_pessimism():
 def test_windowed_rejects_nonpositive_window():
     with pytest.raises(ValueError):
         ThompsonSampler(3, window=0)
+
+
+def test_an_update_that_leaves_the_posterior_keeps_the_cached_samples():
+    s = ThompsonSampler(3, window=2)
+    s.update(0, 1)
+    s.update(0, 1)
+    rng = CountingRng()
+    s.select_arm(rng)
+    assert len(rng.calls) == 3
+    before = s.arms
+    s.update(0, 1)  # a success slides out as a success comes in
+    assert s.arms == before
+    rng.calls.clear()
+    s.select_arm(rng)
+    assert rng.calls == []
+
+
+@pytest.mark.parametrize("window", [None, 2])
+def test_an_update_that_moves_the_posterior_redraws_one_hot_block_for_that_arm(window):
+    s = ThompsonSampler(3, window=window)
+    s.update(1, 1)
+    s.update(1, 1)
+    rng = CountingRng()
+    s.select_arm(rng)
+    s.update(1, 0)  # with the window full, a failure replaces a success
+    arm = s.arms[1]
+    rng.calls.clear()
+    s.select_arm(rng)
+    assert rng.calls == [(arm.alpha, arm.beta, _HOT_BLOCK)]
+
+
+def test_a_sampler_without_a_window_redraws_after_every_update():
+    # Every update adds a play, so every update moves the posterior.
+    s = ThompsonSampler(3)
+    rng = CountingRng()
+    s.select_arm(rng)
+    for reward in (1, 1, 0, 0, 1, 1):
+        for j in range(3):
+            s.update(j, reward)
+        rng.calls.clear()
+        s.select_arm(rng)
+        assert rng.calls == [(arm.alpha, arm.beta, _HOT_BLOCK) for arm in s.arms]
