@@ -1,9 +1,9 @@
 """Scenario configuration: defaults, file parsing, validation.
 
-Config files are flat ``key = value`` lines; ``#`` starts a comment and
-blank lines are skipped. Every key must be a known field, values must parse
-as the field's type, and the merged result must validate. CLI flags are
-applied on top of whatever the file sets.
+Config files are UTF-8 text of flat ``key = value`` lines; ``#`` starts a
+comment and blank lines are skipped. Every key must be a known field, values
+must parse as the field's type, and the merged result must validate. CLI
+flags are applied on top of whatever the file sets.
 """
 
 from __future__ import annotations
@@ -117,8 +117,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ScenarioConf
     """Parse a config file, apply CLI overrides, validate, return the result."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        # UTF-8 on every host, whatever the locale would pick.
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     config = parse_config_text(text, source=str(path))
     if overrides:

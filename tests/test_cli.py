@@ -1,10 +1,16 @@
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hopwar.cli import main
+from hopwar.config import ConfigError, ScenarioConfig, load_config
 from hopwar.engine import SUMMARY_HEADER
 
 
@@ -188,6 +194,61 @@ def test_unbounded_slot_count_is_exit_1(tmp_path):
     assert proc.returncode == 1
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def hopwar_run(config_path, out_dir, timeout=60):
+    """``hopwar run`` on a config file, in a subprocess; returns the finished process."""
+    return subprocess.run(
+        [sys.executable, "-m", "hopwar", "run", "--config", str(config_path), "--out-dir", str(out_dir)],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def test_config_file_that_is_not_utf8_is_exit_1(tmp_path):
+    # Reading it once raised an uncaught UnicodeDecodeError.
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"attacker = random\xff\n")
+    proc = hopwar_run(path, tmp_path / "out")
+    assert proc.returncode == 1
+    assert "config error" in proc.stderr
+    assert str(path) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+KEYS = [f.name for f in fields(ScenarioConfig)]
+CONFIG_LINES = st.tuples(
+    st.sampled_from(KEYS),
+    st.one_of(
+        st.sampled_from(("nan", "inf", "-1", "0", "2", "5", "1e12", "", "bandit", "smart", "9" * 5000)),
+        st.integers(-5, 400).map(str),
+        st.floats(-10.0, 100.0).map(repr),
+    ),
+).map(lambda kv: f"{kv[0]} = {kv[1]}".encode())
+# Slots x runs above which a valid example is dropped, to keep the test quick.
+FUZZ_WORK_LIMIT = 20_000
+
+
+@settings(max_examples=25)
+@given(chunks=st.lists(st.one_of(CONFIG_LINES, st.binary(max_size=6)), max_size=5))
+@example(chunks=[b"attacker = random\xff"])
+@example(chunks=[b"sim_duration_s = 60", b"\xc3(", b"runs = 2"])
+def test_fuzzed_config_file_exits_0_or_1_without_a_traceback(chunks):
+    data = b"\n".join(chunks)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_bytes(data)
+        try:
+            config = load_config(path)
+        except ConfigError:
+            expected = 1
+        else:
+            assume(config.num_slots * config.runs <= FUZZ_WORK_LIMIT)
+            expected = 0
+        proc = hopwar_run(path, Path(tmp) / "out")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == expected, proc.stderr
 
 
 def test_output_does_not_depend_on_the_core_count(config_file, tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 import os
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopwar import engine
@@ -392,3 +392,33 @@ def test_accounting_identities_hold_for_every_config(attacker, defender, scenari
     assert m.recovered <= m.retransmissions
     assert m.extra_energy_j == m.retransmissions * retx_energy(config)
     assert 0.0 <= m.final_pdr <= 1.0
+
+
+@pytest.mark.parametrize("defender", list(DEFENDERS))
+@pytest.mark.parametrize("attacker", list(ATTACKERS))
+@given(scenario=short_scenarios())
+def test_a_run_is_a_pure_function_of_its_config_and_seed(attacker, defender, scenario):
+    config = ScenarioConfig(attacker=attacker, defender=defender, **scenario)
+    validate(config)
+    first = run_scenario(config, collect_trace=True)
+    again = run_scenario(config, collect_trace=True)
+    assert first.as_row() == again.as_row()
+    assert first.trace == again.trace
+
+
+@pytest.mark.parametrize("defender", list(DEFENDERS))
+@pytest.mark.parametrize("attacker", list(ATTACKERS))
+@settings(max_examples=20)
+@given(scenario=short_scenarios(), runs=st.integers(2, 4))
+def test_run_batch_gives_the_same_runs_on_one_and_two_cores(attacker, defender, scenario, runs):
+    config = ScenarioConfig(attacker=attacker, defender=defender, runs=runs, **scenario)
+    validate(config)
+    batches = []
+    for cores in (1, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            usable_cores(patch, cores)
+            batches.append(run_batch(config, collect_trace=True))
+    one, two = batches
+    assert one.seeds == two.seeds
+    assert [run.as_row() for run in one.runs] == [run.as_row() for run in two.runs]
+    assert [run.trace for run in one.runs] == [run.trace for run in two.runs]
