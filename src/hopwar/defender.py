@@ -247,7 +247,7 @@ class SmartDefender(BaseDefender):
                 self._streak += 1
         self._succ[channel] = succ
         self._fail[channel] = fail
-        # A direct call: super() costs a frame lookup on every slot.
+        # Called directly: super() would build a proxy object every slot.
         return BaseDefender.record_and_detect(self, delivered)
 
 
