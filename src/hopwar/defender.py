@@ -42,7 +42,8 @@ SMART_SUCCESS_DECAY = 0.998
 SMART_FAILURE_DECAY = 0.97
 # Consecutive failed home slots that trigger a flee.
 SMART_FLEE_STREAK = 2
-# Most recent homes excluded when picking the next one.
+# Most recent homes excluded when picking the next one, the one being left
+# included; at most ``num_channels - 1`` of them, so a move changes channel.
 SMART_AVOID_RECENT = 3
 # Per-slot probability of sounding the last failed channel.
 SMART_PROBE_PROB = 0.095
@@ -155,7 +156,7 @@ class SmartDefender(BaseDefender):
         self._probing = False
         self._streak = 0
         self._since_home = 0
-        self._burned: deque[int] = deque(maxlen=SMART_AVOID_RECENT)
+        self._burned: deque[int] = deque(maxlen=min(SMART_AVOID_RECENT, self.num_channels - 1))
         self._now = 0
         self._succ = [0.0] * self.num_channels
         self._fail = [0.0] * self.num_channels

@@ -227,13 +227,31 @@ def test_smart_detection_is_telemetry_not_a_hop_trigger():
     assert d.hops == 0
 
 
+@pytest.mark.parametrize("channels", [2, 3, 4])
+def test_every_home_move_changes_channel(channels):
+    # A failure every third slot never makes a flee streak, so the node
+    # re-homes on its timer. With two or three channels, excluding the last
+    # SMART_AVOID_RECENT homes would exclude every channel.
+    d = SmartDefender(ScenarioConfig(num_channels=channels))
+    rng = np.random.default_rng(0)
+    moves = 0
+    for t in range(20_000):
+        home, hops = d.home, d.hops
+        d.advance(rng)
+        if d.hops > hops:
+            moves += 1
+            assert d.home != home
+        d.record_and_detect(t % 3 != 2)
+    assert moves > 400
+
+
 class EagerCheckedSmartDefender(SmartDefender):
     """The smart defender with the eager tallies kept alongside its own.
 
     The eager tallies decay every channel on every slot, as the policy once
     did. Each home move must pick the channel the eager means pick: their
-    first maximum outside the last ``SMART_AVOID_RECENT`` homes, counting
-    the one being left.
+    first maximum outside the last ``SMART_AVOID_RECENT`` homes (at most
+    ``num_channels - 1`` of them), counting the one being left.
     """
 
     moves = 0
@@ -253,7 +271,7 @@ class EagerCheckedSmartDefender(SmartDefender):
     def _move_home(self) -> int:
         self.homes_left.append(self.home)
         means = [(1.0 + s) / (2.0 + s + f) for s, f in zip(self.eager_succ, self.eager_fail)]
-        for ch in self.homes_left[-SMART_AVOID_RECENT:]:
+        for ch in self.homes_left[-min(SMART_AVOID_RECENT, self.num_channels - 1) :]:
             means[ch] = -1.0
         expected = means.index(max(means))
         assert super()._move_home() == expected
