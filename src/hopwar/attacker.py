@@ -1,15 +1,10 @@
 """Jammer strategies, from blind noise to a genie with perfect knowledge.
 
-Every attacker exposes the same two-phase slot protocol: ``step`` commits to
-an action for the slot (emit on a channel, or stay silent and listen), and
-``observe`` afterwards reports whether the channel it acted on carried the
-victim's transmission. Sensing needs no acknowledgment traffic: energy on
-the channel is enough, so a successful jam still reads as a hit.
-
-Strategies never see the victim's channel directly; they only learn through
-their own sensing. The one exception is the oracle, which models the
-strongest possible adversary and reads the victim's channel each slot with
-no lag; only its burst/cooldown duty cycle keeps it off the victim.
+Every strategy is a ``Jammer`` and plays its slot protocol. Strategies never
+see the victim's channel directly; they only learn through their own
+sensing. The one exception is the oracle, which models the strongest
+possible adversary and reads the victim's channel each slot with no lag;
+only its burst/cooldown duty cycle keeps it off the victim.
 """
 
 from __future__ import annotations
@@ -33,15 +28,42 @@ PHASED_MISS_DECREMENT = 0.11
 _RANDOM_BLOCK = 4096
 
 
-class RandomJammer:
+class Jammer:
+    """The two-phase slot protocol every attacker plays; this base stays silent.
+
+    ``step(victim_channel)`` commits the slot's action: the channel to emit
+    on, or None to stay silent. ``sensing_channel`` then names the channel
+    the jammer listens on this slot, or None when it senses nothing. Only
+    when it is set does the engine call ``observe(sensed_busy)`` after the
+    slot resolves, reporting whether that channel carried the victim's
+    transmission. Sensing needs no acknowledgment traffic: energy on the
+    channel is enough, so a successful jam still reads as a hit.
+
+    The base emits nothing and senses nothing, which makes it the engine's
+    stand-in before the attack starts.
+    """
+
+    def __init__(self) -> None:
+        # An instance attribute, not a class default: the engine reads it
+        # every slot, and an instance attribute is the faster read.
+        self.sensing_channel: int | None = None
+
+    def step(self, victim_channel: int) -> int | None:
+        return None
+
+    def observe(self, sensed_busy: bool) -> None:
+        pass
+
+
+class RandomJammer(Jammer):
     """Jams a uniformly random channel every slot. No sensing, no memory."""
 
     def __init__(self, num_channels: int, rng: np.random.Generator) -> None:
+        super().__init__()
         self.num_channels = num_channels
         self._rng = rng
         # Unspent channels of the current block, last-first, spent with pop().
         self._block: list[int] = []
-        self.sensing_channel: int | None = None
 
     def step(self, victim_channel: int) -> int | None:
         block = self._block
@@ -49,11 +71,8 @@ class RandomJammer:
             block = self._block = self._rng.integers(0, self.num_channels, _RANDOM_BLOCK).tolist()[::-1]
         return block.pop()
 
-    def observe(self, sensed_busy: bool) -> None:
-        pass
 
-
-class ReactiveJammer:
+class ReactiveJammer(Jammer):
     """Camps on a channel while it carries traffic, scans when it goes quiet.
 
     While attacking, the jammer keeps emitting on its channel and counts
@@ -64,14 +83,15 @@ class ReactiveJammer:
     """
 
     def __init__(self, num_channels: int, idle_trigger: int, dwell: int) -> None:
+        super().__init__()
         self.num_channels = num_channels
         self.idle_trigger = idle_trigger
         self.dwell = dwell
         self.attacking = True
         self.channel = 0
-        self.sensing_channel: int | None = None
-        self._idle_run = 0
-        self._dwell_left = dwell
+        # Quiet slots left before the jammer moves on: counted from
+        # ``idle_trigger`` while it camps, from ``dwell`` while it scans.
+        self._countdown = idle_trigger
 
     def step(self, victim_channel: int) -> int | None:
         self.sensing_channel = self.channel
@@ -80,28 +100,19 @@ class ReactiveJammer:
         return None
 
     def observe(self, sensed_busy: bool) -> None:
-        if self.attacking:
-            if sensed_busy:
-                self._idle_run = 0
-            else:
-                self._idle_run += 1
-                if self._idle_run >= self.idle_trigger:
-                    self.attacking = False
-                    self.channel = (self.channel + 1) % self.num_channels
-                    self._dwell_left = self.dwell
+        if sensed_busy:
+            # Traffic: camp here; a scan that found it jams from the next slot.
+            self.attacking = True
+            self._countdown = self.idle_trigger
         else:
-            if sensed_busy:
-                # Found traffic: camp here, jamming from the next slot.
-                self.attacking = True
-                self._idle_run = 0
-            else:
-                self._dwell_left -= 1
-                if self._dwell_left <= 0:
-                    self.channel = (self.channel + 1) % self.num_channels
-                    self._dwell_left = self.dwell
+            self._countdown -= 1
+            if self._countdown <= 0:
+                self.attacking = False
+                self.channel = (self.channel + 1) % self.num_channels
+                self._countdown = self.dwell
 
 
-class BanditJammer:
+class BanditJammer(Jammer):
     """Thompson sampler over channels, rewarded by sensed occupancy.
 
     Each slot it folds the previous slot's sensing result into the posterior
@@ -112,9 +123,9 @@ class BanditJammer:
     """
 
     def __init__(self, num_channels: int, rng: np.random.Generator) -> None:
+        super().__init__()
         self.sampler = ThompsonSampler(num_channels, BANDIT_WINDOW_PLAYS)
         self._rng = rng
-        self.sensing_channel: int | None = None
 
     def step(self, victim_channel: int) -> int | None:
         arm = self.sensing_channel = self.sampler.select_arm(self._rng)
@@ -124,7 +135,7 @@ class BanditJammer:
         self.sampler.update(self.sensing_channel, sensed_busy)
 
 
-class PhasedJammer:
+class PhasedJammer(Jammer):
     """Learns an occupancy map in a listening phase, then jams and tracks.
 
     The listening phase sweeps the channels round-robin for ``listen_len``
@@ -138,6 +149,7 @@ class PhasedJammer:
     """
 
     def __init__(self, num_channels: int, listen_len: int, eval_len: int, retrain_trigger: float) -> None:
+        super().__init__()
         self.num_channels = num_channels
         self.listen_len = listen_len
         self.eval_len = eval_len
@@ -145,7 +157,6 @@ class PhasedJammer:
         self.listening = True
         self.counts = [0.0] * num_channels
         self.retrains = 0
-        self.sensing_channel: int | None = None
         self._listen_left = listen_len
         self._sweep = 0
         self._probe = 0
@@ -205,7 +216,7 @@ class PhasedJammer:
             self._est_sum = 0
 
 
-class OracleJammer:
+class OracleJammer(Jammer):
     """Duty-cycled perfect follower.
 
     Models the strongest adversary worth simulating: while attacking it is
@@ -219,29 +230,18 @@ class OracleJammer:
     def __init__(self, burst_slots: int, cooldown_slots: int) -> None:
         if burst_slots <= 0:
             raise ValueError("burst_slots must be positive")
+        super().__init__()
         self.burst_slots = burst_slots
         self.cooldown_slots = cooldown_slots
-        self.sensing_channel: int | None = None
-        self._phase_left = burst_slots
-        self._attacking = True
+        # Slot k of the run sits at position k % (burst + cooldown) of the
+        # duty cycle; the burst comes first.
+        self._cycle = burst_slots + cooldown_slots
+        self._position = 0
 
     def step(self, victim_channel: int) -> int | None:
-        if not self._attacking:
-            self._phase_left -= 1
-            if self._phase_left <= 0:
-                self._attacking = True
-                self._phase_left = self.burst_slots
-            return None
-        self._phase_left -= 1
-        if self._phase_left <= 0 and self.cooldown_slots > 0:
-            self._attacking = False
-            self._phase_left = self.cooldown_slots
-        elif self._phase_left <= 0:
-            self._phase_left = self.burst_slots
-        return victim_channel
-
-    def observe(self, sensed_busy: bool) -> None:
-        pass
+        position = self._position
+        self._position = position + 1 if position + 1 < self._cycle else 0
+        return victim_channel if position < self.burst_slots else None
 
 
 # Name -> constructor from (config, attacker rng): the one place to add an

@@ -8,7 +8,6 @@ own decayed per-channel tallies (see ``defender``).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,25 +18,8 @@ _HOT_BLOCK = 4
 _COLD_BLOCK = 64
 
 
-@dataclass
-class BetaArm:
-    """Snapshot of one arm's Beta posterior.
-
-    Attributes
-    ----------
-    alpha : float
-        Success shape parameter: 1 plus the counted rewards equal to 1
-        (a windowed sampler counts only the rewards in its window).
-    beta : float
-        Failure shape parameter: 1 plus the counted rewards equal to 0.
-    """
-
-    alpha: float
-    beta: float
-
-
 class ThompsonSampler:
-    """Thompson sampling state over ``num_arms`` Beta-Bernoulli arms.
+    """Windowed Thompson sampling state over ``num_arms`` Beta-Bernoulli arms.
 
     Selection draws one posterior sample per arm and plays the argmax
     (ties resolve to the lowest index). Rewards arrive through
@@ -52,26 +34,26 @@ class ThompsonSampler:
     equals the new one, keeps them: they are unused independent draws from
     the same Beta, so selection is still exact Thompson sampling.
 
-    With a ``window``, each arm's posterior is built from its last
-    ``window`` observed plays only. Accumulated evidence saturates against
-    a target that relocates: after thousands of pulls one more reward
-    cannot move a posterior. A windowed camped-on arm stays sharp near 1,
-    an abandoned one drains within a window's worth of plays, and arms keep
-    their pessimism until they are actually replayed, so the reaction speed
-    never degrades over a run.
+    Each arm's posterior is built from its last ``window`` observed plays
+    only. Accumulated evidence saturates against a target that relocates:
+    after thousands of pulls one more reward cannot move a posterior. A
+    windowed camped-on arm stays sharp near 1, an abandoned one drains
+    within a window's worth of plays, and arms keep their pessimism until
+    they are actually replayed, so the reaction speed never degrades over a
+    run.
 
     Parameters
     ----------
     num_arms : int
         Number of arms; must be positive.
-    window : int or None
-        Plays per arm that the posterior remembers; None keeps them all.
+    window : int
+        Plays per arm that the posterior remembers; must be positive.
     """
 
-    def __init__(self, num_arms: int, window: int | None = None) -> None:
+    def __init__(self, num_arms: int, window: int) -> None:
         if num_arms <= 0:
             raise ValueError(f"num_arms must be positive, got {num_arms}")
-        if window is not None and window <= 0:
+        if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         self.num_arms = num_arms
         self.window = window
@@ -80,12 +62,16 @@ class ThompsonSampler:
         # Per-arm unspent posterior samples, last-first, spent with pop().
         # None marks an arm whose posterior moved: its next block is hot.
         self._cache: list[list[float] | None] = [None] * num_arms
-        self._history = None if window is None else [deque(maxlen=window) for _ in range(num_arms)]
+        self._history = [deque(maxlen=window) for _ in range(num_arms)]
 
     @property
-    def arms(self) -> list[BetaArm]:
-        """Snapshot of all arm posteriors."""
-        return [BetaArm(a, b) for a, b in zip(self._alpha, self._beta)]
+    def arms(self) -> list[tuple[float, float]]:
+        """Every arm's posterior as ``(alpha, beta)``.
+
+        ``alpha`` is 1 plus the arm's windowed rewards equal to 1, ``beta``
+        1 plus those equal to 0.
+        """
+        return list(zip(self._alpha, self._beta))
 
     def select_arm(self, rng: np.random.Generator) -> int:
         """Sample every arm's posterior and return the argmax arm index."""
@@ -109,18 +95,17 @@ class ThompsonSampler:
         The arm's cached samples are discarded only if its posterior moved.
         """
         r = 1 if reward else 0
-        if self._history is not None:
-            history = self._history[arm]
-            if len(history) == self.window:
-                # The oldest observation slides out of the posterior.
-                old = history[0]
-                history.append(r)
-                if old == r:
-                    return
-                self._alpha[arm] -= old
-                self._beta[arm] -= 1 - old
-            else:
-                history.append(r)
+        history = self._history[arm]
+        if len(history) == self.window:
+            # The oldest observation slides out of the posterior.
+            old = history[0]
+            history.append(r)
+            if old == r:
+                return
+            self._alpha[arm] -= old
+            self._beta[arm] -= 1 - old
+        else:
+            history.append(r)
         self._alpha[arm] += r
         self._beta[arm] += 1 - r
         self._cache[arm] = None

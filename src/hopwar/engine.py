@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacker import make_attacker
+from .attacker import Jammer, make_attacker
 from .config import ScenarioConfig
 from .defender import Defender
 from .metrics import RunMetrics, retx_energy, total_energy
@@ -148,17 +148,8 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     )
 
 
-class _Silent:
-    """The attacker's stand-in before the attack starts: no emission, no sensing."""
-
-    sensing_channel = None
-
-    @staticmethod
-    def step(victim_channel: int) -> None:
-        return None
-
-
-_SILENT = _Silent()
+# The attacker's stand-in before the attack starts: no emission, no sensing.
+_SILENT = Jammer()
 
 
 @dataclass

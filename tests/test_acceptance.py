@@ -83,7 +83,7 @@ def test_beta_posterior_replay_is_exact():
     pyrng = random.Random(20260819)
     for _ in range(1000):
         n = pyrng.randint(1, 12)
-        sampler = ThompsonSampler(n)
+        sampler = ThompsonSampler(n, 300)
         wins = [0] * n
         losses = [0] * n
         for _ in range(pyrng.randint(0, 300)):
@@ -92,9 +92,9 @@ def test_beta_posterior_replay_is_exact():
             sampler.update(arm, reward)
             wins[arm] += reward
             losses[arm] += 1 - reward
-        for j, arm in enumerate(sampler.arms):
-            assert arm.alpha == 1.0 + wins[j]
-            assert arm.beta == 1.0 + losses[j]
+        for j, (alpha, beta) in enumerate(sampler.arms):
+            assert alpha == 1.0 + wins[j]
+            assert beta == 1.0 + losses[j]
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -107,7 +107,7 @@ def test_thompson_sampling_locks_onto_the_best_arm():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         best = int(rng.integers(10))
-        sampler = ThompsonSampler(10)
+        sampler = ThompsonSampler(10, 10_000)
         tail_hits = 0
         for step in range(10000):
             arm = sampler.select_arm(rng)
@@ -226,6 +226,22 @@ def test_cli_runs_are_byte_identical(tmp_path):
 
 def test_campaign_outputs_match_the_pinned_file_byte_for_byte(versus_random_hopper, versus_adaptive_hopper):
     assert render_campaigns(versus_random_hopper, versus_adaptive_hopper).encode() == CAMPAIGN_GOLDEN.read_bytes()
+
+
+def test_readme_paper_table_quotes_the_pinned_jam_rates():
+    # The "Against the paper" table must quote each attacker's pinned mean
+    # jam rate against the random hopper, rounded to 0.1%.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Against the paper", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("|")]
+    pinned = json.loads(CAMPAIGN_GOLDEN.read_text())
+    quoted = {}
+    for name, rate, _paper in rows[2:]:
+        attacker = name.split("`")[1]
+        quoted[attacker] = rate.strip()
+        expected = float(pinned[f"{attacker} vs random"]["summary"]["mean_success_rate"])
+        assert quoted[attacker] == f"{100 * expected:.1f}%", attacker
+    assert sorted(quoted) == ["bandit", "oracle", "phased"]
 
 
 def test_delivery_accounting_conserves_packets(versus_random_hopper, versus_adaptive_hopper):

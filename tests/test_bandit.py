@@ -30,32 +30,32 @@ class CountingRng:
         return self._rng.beta(a, b, size)
 
 
+# A window no shorter than an arm's longest history never fills, so such a
+# sampler adds every reward to its posterior.
+LONG_WINDOW = 10_000
+
+
 def test_prior_is_uniform():
-    s = ThompsonSampler(5)
-    for arm in s.arms:
-        assert arm.alpha == 1.0
-        assert arm.beta == 1.0
+    s = ThompsonSampler(5, LONG_WINDOW)
+    assert s.arms == [(1.0, 1.0)] * 5
 
 
 def test_update_moves_only_the_played_arm():
-    s = ThompsonSampler(3)
+    s = ThompsonSampler(3, LONG_WINDOW)
     s.update(1, 1)
     s.update(1, 0)
     s.update(2, 0)
-    arms = s.arms
-    assert (arms[0].alpha, arms[0].beta) == (1.0, 1.0)
-    assert (arms[1].alpha, arms[1].beta) == (2.0, 2.0)
-    assert (arms[2].alpha, arms[2].beta) == (1.0, 2.0)
+    assert s.arms == [(1.0, 1.0), (2.0, 2.0), (1.0, 2.0)]
 
 
 def test_select_does_not_touch_counters():
     # The outcome of a selection is observed a step later, so the posterior
     # moves in update, never in select_arm.
-    s = ThompsonSampler(4)
+    s = ThompsonSampler(4, LONG_WINDOW)
     rng = np.random.default_rng(0)
     for _ in range(50):
         s.select_arm(rng)
-    assert all((arm.alpha, arm.beta) == (1.0, 1.0) for arm in s.arms)
+    assert s.arms == [(1.0, 1.0)] * 4
 
 
 def test_posterior_replay_matches_closed_form():
@@ -64,7 +64,7 @@ def test_posterior_replay_matches_closed_form():
     pyrng = random.Random(1234)
     for _ in range(200):
         n = pyrng.randint(1, 8)
-        s = ThompsonSampler(n)
+        s = ThompsonSampler(n, 300)
         wins = [0] * n
         losses = [0] * n
         for _ in range(pyrng.randint(0, 300)):
@@ -73,20 +73,20 @@ def test_posterior_replay_matches_closed_form():
             s.update(arm, r)
             wins[arm] += r
             losses[arm] += 1 - r
-        for j, arm in enumerate(s.arms):
-            assert arm.alpha == 1.0 + wins[j]
-            assert arm.beta == 1.0 + losses[j]
+        for j, (alpha, beta) in enumerate(s.arms):
+            assert alpha == 1.0 + wins[j]
+            assert beta == 1.0 + losses[j]
 
 
 def test_tie_breaks_to_lowest_index():
-    s = ThompsonSampler(6)
+    s = ThompsonSampler(6, LONG_WINDOW)
     assert s.select_arm(ConstantRng(0.5)) == 0
 
 
 def test_dominant_arm_wins_selection():
     # Beta(100, 1) against eleven Beta(1, 100) arms: the dominant arm's
     # samples sit near 1 while the rest sit near 0.
-    s = ThompsonSampler(12)
+    s = ThompsonSampler(12, LONG_WINDOW)
     for _ in range(99):
         s.update(3, 1)
     for j in range(12):
@@ -101,7 +101,7 @@ def test_dominant_arm_wins_selection():
 
 def test_selection_sequence_is_deterministic():
     def run(seed):
-        s = ThompsonSampler(7)
+        s = ThompsonSampler(7, LONG_WINDOW)
         rng = np.random.default_rng(seed)
         out = []
         for t in range(400):
@@ -116,17 +116,16 @@ def test_selection_sequence_is_deterministic():
 
 def test_rejects_nonpositive_arm_count():
     with pytest.raises(ValueError):
-        ThompsonSampler(0)
+        ThompsonSampler(0, LONG_WINDOW)
 
 
 def test_windowed_evicts_the_oldest_play():
     s = ThompsonSampler(2, window=3)
     for r in (1, 1, 1):
         s.update(0, r)
-    assert (s.arms[0].alpha, s.arms[0].beta) == (4.0, 1.0)
+    assert s.arms[0] == (4.0, 1.0)
     s.update(0, 0)  # the first success slides out
-    arm = s.arms[0]
-    assert (arm.alpha, arm.beta) == (3.0, 2.0)
+    assert s.arms[0] == (3.0, 2.0)
 
 
 def test_windowed_posterior_matches_the_tail_of_the_history():
@@ -141,10 +140,10 @@ def test_windowed_posterior_matches_the_tail_of_the_history():
             r = pyrng.randint(0, 1)
             s.update(arm, r)
             seen[arm].append(r)
-        for j, arm in enumerate(s.arms):
+        for j, (alpha, beta) in enumerate(s.arms):
             tail = seen[j][-w:]
-            assert arm.alpha == 1.0 + sum(tail)
-            assert arm.beta == 1.0 + len(tail) - sum(tail)
+            assert alpha == 1.0 + sum(tail)
+            assert beta == 1.0 + len(tail) - sum(tail)
 
 
 def test_windowed_forgets_old_pessimism():
@@ -155,7 +154,7 @@ def test_windowed_forgets_old_pessimism():
         s.update(0, 0)
     for _ in range(10):
         s.update(0, 1)
-    assert (s.arms[0].alpha, s.arms[0].beta) == (11.0, 1.0)
+    assert s.arms[0] == (11.0, 1.0)
 
 
 def test_windowed_rejects_nonpositive_window():
@@ -178,7 +177,7 @@ def test_an_update_that_leaves_the_posterior_keeps_the_cached_samples():
     assert rng.calls == []
 
 
-@pytest.mark.parametrize("window", [None, 2])
+@pytest.mark.parametrize("window", [LONG_WINDOW, 2])
 def test_an_update_that_moves_the_posterior_redraws_one_hot_block_for_that_arm(window):
     s = ThompsonSampler(3, window=window)
     s.update(1, 1)
@@ -186,15 +185,14 @@ def test_an_update_that_moves_the_posterior_redraws_one_hot_block_for_that_arm(w
     rng = CountingRng()
     s.select_arm(rng)
     s.update(1, 0)  # with the window full, a failure replaces a success
-    arm = s.arms[1]
     rng.calls.clear()
     s.select_arm(rng)
-    assert rng.calls == [(arm.alpha, arm.beta, _HOT_BLOCK)]
+    assert rng.calls == [(*s.arms[1], _HOT_BLOCK)]
 
 
-def test_a_sampler_without_a_window_redraws_after_every_update():
+def test_a_sampler_redraws_after_every_update_before_its_window_fills():
     # Every update adds a play, so every update moves the posterior.
-    s = ThompsonSampler(3)
+    s = ThompsonSampler(3, LONG_WINDOW)
     rng = CountingRng()
     s.select_arm(rng)
     for reward in (1, 1, 0, 0, 1, 1):
@@ -202,4 +200,4 @@ def test_a_sampler_without_a_window_redraws_after_every_update():
             s.update(j, reward)
         rng.calls.clear()
         s.select_arm(rng)
-        assert rng.calls == [(arm.alpha, arm.beta, _HOT_BLOCK) for arm in s.arms]
+        assert rng.calls == [(*arm, _HOT_BLOCK) for arm in s.arms]

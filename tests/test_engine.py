@@ -1,10 +1,11 @@
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopwar import engine
+from hopwar import cli, engine
 from hopwar.attacker import ATTACKERS, make_attacker
 from hopwar.config import ScenarioConfig, validate
 from hopwar.defender import DEFENDERS, Defender
@@ -422,3 +423,62 @@ def test_run_batch_gives_the_same_runs_on_one_and_two_cores(attacker, defender, 
     assert one.seeds == two.seeds
     assert [run.as_row() for run in one.runs] == [run.as_row() for run in two.runs]
     assert [run.trace for run in one.runs] == [run.trace for run in two.runs]
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_called(monkeypatch, tmp_path):
+    # The benchmark's tracer swaps these module globals and instance methods
+    # for timing wrappers. A name the package renamed, or bound before the
+    # swap, would record no calls, and its layer would read as absent.
+    calls = Counter()
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            calls[label] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def wrap_methods(obj, prefix, methods):
+        for method in methods:
+            setattr(obj, method, counted(f"{prefix}.{method}", getattr(obj, method)))
+
+    built = {}
+    make, build_defender = engine.make_attacker, engine.Defender
+
+    def make_attacker(config, rng):
+        attacker = built[config.attacker] = make(config, rng)
+        wrap_methods(attacker, f"attacker.{config.attacker}", ("step", "observe"))
+        sampler = getattr(attacker, "sampler", None)
+        if sampler is not None:
+            wrap_methods(sampler, "bandit", ("select_arm", "update"))
+        return attacker
+
+    def defender(config):
+        made = build_defender(config)
+        wrap_methods(made, f"defender.{config.defender}", ("advance", "record_and_detect"))
+        return made
+
+    monkeypatch.setattr(engine, "resolve_slot", counted("phy.resolve_slot", engine.resolve_slot))
+    monkeypatch.setattr(engine, "make_attacker", counted("engine.make_attacker", make_attacker))
+    monkeypatch.setattr(engine, "Defender", counted("engine.Defender", defender))
+    for name in ("load_config", "run_batch", "emit_summary", "emit_timeseries"):
+        monkeypatch.setattr(cli, name, counted(f"cli.{name}", getattr(cli, name)))
+
+    for attacker in ATTACKERS:
+        for policy in DEFENDERS:
+            run_scenario(short_config(attacker=attacker, defender=policy))
+    config_path = tmp_path / "scenario.cfg"
+    config_path.write_text("sim_duration_s = 30\nattacker = reactive\nruns = 1\n")
+    assert cli.main(["run", "--config", str(config_path), "--out-dir", str(tmp_path / "out"), "--timeseries"]) == 0
+
+    pairings = len(ATTACKERS) * len(DEFENDERS) + 1
+    assert calls["engine.make_attacker"] == calls["engine.Defender"] == pairings
+    expected = {"phy.resolve_slot", "engine.make_attacker", "engine.Defender", "bandit.select_arm", "bandit.update"}
+    expected |= {f"cli.{name}" for name in ("load_config", "run_batch", "emit_summary", "emit_timeseries")}
+    expected |= {f"defender.{policy}.{m}" for policy in DEFENDERS for m in ("advance", "record_and_detect")}
+    expected |= {f"attacker.{attacker}.step" for attacker in ATTACKERS}
+    # Only jammers that sense get observe calls: the engine skips a slot's
+    # observe while sensing_channel is None.
+    expected |= {f"attacker.{attacker}.observe" for attacker in ("reactive", "bandit", "phased")}
+    assert set(calls) == expected
+    assert isinstance(built["phased"].retrains, int)
