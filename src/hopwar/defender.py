@@ -201,6 +201,10 @@ class SmartDefender(BaseDefender):
         now = self._now
         means = []
         for s, f, stamp in zip(self._succ, self._fail, self._stamp):
+            if not (s or f):
+                # A channel never recorded on: decay keeps both tallies at 0.
+                means.append(0.5)
+                continue
             age = now - stamp
             if age < SMART_DECAY_TABLE_LEN:
                 s *= _SUCCESS_DECAY_POW[age]
