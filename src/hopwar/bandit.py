@@ -7,15 +7,16 @@ own decayed per-channel tallies (see ``defender``).
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from collections import defaultdict, deque
+from functools import partial
 
 import numpy as np
 
-# Block sizes for the per-arm sample cache. Arms whose posterior just moved
-# get a short block because the next update is likely to move it again;
-# stable arms amortize one generator call over many selections.
-_HOT_BLOCK = 4
-_COLD_BLOCK = 64
+# Posterior samples drawn per generator call. Unspent samples are kept once
+# per posterior state (alpha, beta) and shared by every arm in that state, so
+# a block serves all the arms that pass through its state, not just one.
+_BLOCK = 64
 
 
 class ThompsonSampler:
@@ -27,12 +28,15 @@ class ThompsonSampler:
     its outcome observed one step later, so a freshly selected arm still
     shows its old posterior until its reward lands.
 
-    Samples are drawn in per-arm blocks and spent one per selection. An
-    update that moves an arm's posterior discards the arm's unspent
-    samples, so its next selection draws a fresh short block. An update
-    that leaves the posterior as it was, a full window whose oldest reward
-    equals the new one, keeps them: they are unused independent draws from
-    the same Beta, so selection is still exact Thompson sampling.
+    Samples are drawn in blocks of ``_BLOCK`` and kept in a pool with one
+    store per posterior state ``(alpha, beta)``; every arm in a state spends
+    from that state's store, one sample per selection, and an arm whose
+    posterior moves switches stores and loses nothing. Each sample is spent
+    once, and an unspent one is an independent draw no selection has seen,
+    so it is still a Beta(alpha, beta) sample given the history: selection
+    is exact Thompson sampling. A windowed posterior has ``alpha + beta <=
+    window + 2``, so a sampler holds at most ``(window + 1)(window + 2) / 2``
+    stores of fewer than ``_BLOCK`` samples each.
 
     Each arm's posterior is built from its last ``window`` observed plays
     only. Accumulated evidence saturates against a target that relocates:
@@ -59,9 +63,10 @@ class ThompsonSampler:
         self.window = window
         self._alpha = [1.0] * num_arms
         self._beta = [1.0] * num_arms
-        # Per-arm unspent posterior samples, last-first, spent with pop().
-        # None marks an arm whose posterior moved: its next block is hot.
-        self._cache: list[list[float] | None] = [None] * num_arms
+        # Unspent samples per posterior state, spent with pop(); _cache[j]
+        # is the store of arm j's state.
+        self._pool: defaultdict[tuple[float, float], array] = defaultdict(partial(array, "d"))
+        self._cache = [self._pool[1.0, 1.0]] * num_arms
         self._history = [deque(maxlen=window) for _ in range(num_arms)]
 
     @property
@@ -75,15 +80,12 @@ class ThompsonSampler:
 
     def select_arm(self, rng: np.random.Generator) -> int:
         """Sample every arm's posterior and return the argmax arm index."""
-        cache = self._cache
         best = 0
         best_value = -1.0
-        for j in range(self.num_arms):
-            block = cache[j]
-            if not block:
-                size = _HOT_BLOCK if block is None else _COLD_BLOCK
-                block = cache[j] = rng.beta(self._alpha[j], self._beta[j], size).tolist()[::-1]
-            value = block.pop()
+        for j, store in enumerate(self._cache):
+            if not store:
+                store.frombytes(rng.beta(self._alpha[j], self._beta[j], _BLOCK).tobytes())
+            value = store.pop()
             if value > best_value:
                 best_value = value
                 best = j
@@ -92,7 +94,8 @@ class ThompsonSampler:
     def update(self, arm: int, reward: int) -> None:
         """Fold one observed reward (0 or 1) into ``arm``'s posterior.
 
-        The arm's cached samples are discarded only if its posterior moved.
+        An arm whose posterior moved spends from its new state's store next;
+        an update that leaves the posterior as it was touches no store.
         """
         r = 1 if reward else 0
         history = self._history[arm]
@@ -106,6 +109,6 @@ class ThompsonSampler:
             self._beta[arm] -= 1 - old
         else:
             history.append(r)
-        self._alpha[arm] += r
-        self._beta[arm] += 1 - r
-        self._cache[arm] = None
+        alpha = self._alpha[arm] = self._alpha[arm] + r
+        beta = self._beta[arm] = self._beta[arm] + 1 - r
+        self._cache[arm] = self._pool[alpha, beta]

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from hopwar.bandit import _HOT_BLOCK, ThompsonSampler
+from hopwar.bandit import _BLOCK, ThompsonSampler
 
 
 class ConstantRng:
@@ -162,13 +162,48 @@ def test_windowed_rejects_nonpositive_window():
         ThompsonSampler(3, window=0)
 
 
-def test_an_update_that_leaves_the_posterior_keeps_the_cached_samples():
+def test_arms_that_share_a_state_share_one_generator_call():
+    # Every update adds a play, so every update moves the posterior; arms
+    # given the same rewards move together and keep sharing one store.
+    s = ThompsonSampler(3, LONG_WINDOW)
+    rng = CountingRng()
+    s.select_arm(rng)
+    assert rng.calls == [(1.0, 1.0, _BLOCK)]
+    for reward in (1, 1, 0, 0, 1, 1):
+        for j in range(3):
+            s.update(j, reward)
+        rng.calls.clear()
+        s.select_arm(rng)
+        assert rng.calls == [(*s.arms[0], _BLOCK)]
+
+
+def test_an_arm_that_returns_to_a_state_spends_its_leftover_samples():
+    s = ThompsonSampler(3, window=2)
+    rng = CountingRng()
+    s.select_arm(rng)
+    visited = []
+    # (2, 1), then with the window full (3, 1) -> (2, 2) -> (1, 3) -> (2, 2).
+    for reward in (1, 1, 0, 0, 1):
+        s.update(0, reward)
+        rng.calls.clear()
+        s.select_arm(rng)
+        visited.append((s.arms[0], list(rng.calls)))
+    assert visited == [
+        ((2.0, 1.0), [(2.0, 1.0, _BLOCK)]),
+        ((3.0, 1.0), [(3.0, 1.0, _BLOCK)]),
+        ((2.0, 2.0), [(2.0, 2.0, _BLOCK)]),
+        ((1.0, 3.0), [(1.0, 3.0, _BLOCK)]),
+        ((2.0, 2.0), []),
+    ]
+
+
+def test_an_update_that_leaves_the_posterior_draws_nothing():
     s = ThompsonSampler(3, window=2)
     s.update(0, 1)
     s.update(0, 1)
     rng = CountingRng()
     s.select_arm(rng)
-    assert len(rng.calls) == 3
+    assert rng.calls == [(3.0, 1.0, _BLOCK), (1.0, 1.0, _BLOCK)]
     before = s.arms
     s.update(0, 1)  # a success slides out as a success comes in
     assert s.arms == before
@@ -177,27 +212,73 @@ def test_an_update_that_leaves_the_posterior_keeps_the_cached_samples():
     assert rng.calls == []
 
 
-@pytest.mark.parametrize("window", [LONG_WINDOW, 2])
-def test_an_update_that_moves_the_posterior_redraws_one_hot_block_for_that_arm(window):
-    s = ThompsonSampler(3, window=window)
-    s.update(1, 1)
-    s.update(1, 1)
-    rng = CountingRng()
-    s.select_arm(rng)
-    s.update(1, 0)  # with the window full, a failure replaces a success
-    rng.calls.clear()
-    s.select_arm(rng)
-    assert rng.calls == [(*s.arms[1], _HOT_BLOCK)]
+class RefillCheckingRng(CountingRng):
+    """Counting generator that checks each refill against the sampler's arms.
+
+    A draw is allowed only for the posterior of some arm whose state's store
+    is empty: the sampler never draws for a state nobody is in, nor while
+    that state still holds unspent samples.
+    """
+
+    def __init__(self, sampler, seed=0):
+        super().__init__(seed)
+        self.sampler = sampler
+        self.drawn = 0
+
+    def beta(self, a, b, size=None):
+        assert (a, b) in self.sampler.arms
+        assert not self.sampler._pool[a, b]
+        self.drawn += size
+        return super().beta(a, b, size)
 
 
-def test_a_sampler_redraws_after_every_update_before_its_window_fills():
-    # Every update adds a play, so every update moves the posterior.
-    s = ThompsonSampler(3, LONG_WINDOW)
-    rng = CountingRng()
-    s.select_arm(rng)
-    for reward in (1, 1, 0, 0, 1, 1):
-        for j in range(3):
-            s.update(j, reward)
-        rng.calls.clear()
-        s.select_arm(rng)
-        assert rng.calls == [(*arm, _HOT_BLOCK) for arm in s.arms]
+def test_pooled_samples_are_accounted_for_and_drawn_for_the_asking_state():
+    pyrng = random.Random(5)
+    num_arms, selects = 5, 3000
+    s = ThompsonSampler(num_arms, window=3)
+    rng = RefillCheckingRng(s)
+    for _ in range(selects):
+        arm = s.select_arm(rng)
+        # Every arm spends from the store of its own posterior state.
+        assert all(s._cache[j] is s._pool[s.arms[j]] for j in range(num_arms))
+        s.update(arm, pyrng.random() < 0.2 + 0.15 * arm)
+        other = pyrng.randrange(num_arms)
+        s.update(other, pyrng.randint(0, 1))
+    unspent = sum(len(store) for store in s._pool.values())
+    assert rng.drawn == num_arms * selects + unspent
+    assert all(size == _BLOCK for _, _, size in rng.calls)
+    # Arms shared states: far fewer calls than one per arm per select.
+    assert len(rng.calls) < selects
+
+
+def test_pooled_selection_frequencies_match_fresh_draws():
+    # Windows full of fixed reward patterns, and each update replays the
+    # reward sliding out, so the posteriors never move; three of the five
+    # arms share the state (3, 3) and so share one store.
+    patterns = [(1, 1, 0, 0), (1, 0, 1, 1), (0, 1, 0, 1), (0, 0, 1, 0), (1, 0, 0, 1)]
+    s = ThompsonSampler(len(patterns), window=4)
+    for j, pattern in enumerate(patterns):
+        for r in pattern:
+            s.update(j, r)
+    arms = s.arms
+    assert arms == [(3.0, 3.0), (4.0, 2.0), (3.0, 3.0), (2.0, 4.0), (3.0, 3.0)]
+    slot = [0] * len(patterns)
+    rng = np.random.default_rng(2024)
+    n = 20_000
+    pooled = np.zeros(len(patterns))
+    for _ in range(n):
+        arm = s.select_arm(rng)
+        pooled[arm] += 1
+        s.update(arm, patterns[arm][slot[arm]])
+        slot[arm] = (slot[arm] + 1) % len(patterns[arm])
+    assert s.arms == arms
+
+    # The reference draws a fresh sample for every arm on every select.
+    ref_rng = np.random.default_rng(7)
+    alpha, beta = np.array(arms).T
+    fresh = np.bincount(ref_rng.beta(alpha, beta, (n, len(arms))).argmax(axis=1), minlength=len(arms))
+
+    p_pooled, p_fresh = pooled / n, fresh / n
+    # Two independent binomial proportions: 4.5 standard errors of their difference.
+    band = 4.5 * np.sqrt(p_fresh * (1 - p_fresh) * 2 / n)
+    assert np.all(np.abs(p_pooled - p_fresh) <= band), (p_pooled, p_fresh)
