@@ -13,9 +13,8 @@ from functools import partial
 
 import numpy as np
 
-# Posterior samples drawn per generator call. Unspent samples are kept once
-# per posterior state (alpha, beta) and shared by every arm in that state, so
-# a block serves all the arms that pass through its state, not just one.
+# Posterior samples drawn per generator call into one state's store (see
+# ThompsonSampler); a block is shared by every arm that passes through it.
 _BLOCK = 64
 
 
