@@ -177,6 +177,21 @@ def test_arms_that_share_a_state_share_one_generator_call():
         assert rng.calls == [(*s.arms[0], _BLOCK)]
 
 
+@pytest.mark.parametrize("window", [LONG_WINDOW, 2])
+def test_an_update_that_moves_the_posterior_redraws_one_hot_block_for_that_arm(window):
+    # The arm's new state has an empty store, so the next select draws one
+    # block for that state and nothing for the arms whose stores still hold samples.
+    s = ThompsonSampler(3, window=window)
+    s.update(1, 1)
+    s.update(1, 1)
+    rng = CountingRng()
+    s.select_arm(rng)
+    s.update(1, 0)  # with the window full, a failure replaces a success
+    rng.calls.clear()
+    s.select_arm(rng)
+    assert rng.calls == [(*s.arms[1], _BLOCK)]
+
+
 def test_an_arm_that_returns_to_a_state_spends_its_leftover_samples():
     s = ThompsonSampler(3, window=2)
     rng = CountingRng()
