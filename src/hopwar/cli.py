@@ -3,21 +3,40 @@
     hopwar run --config scenario.cfg [--seed N] [--runs N]
                [--attacker S] [--defender S] [--out-dir DIR] [--timeseries]
 
-Exit codes: 0 success, 1 configuration error, 2 output I/O error.
+Exit codes: 0 success (``--help`` too), 1 usage or configuration error,
+2 output I/O error.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is
+already set, before numpy loads: hopwar uses only ``numpy.random``, so
+OpenBLAS's thread pool would only cost start-up time. Set the variable
+yourself to override it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config
-from .engine import emit_summary, emit_timeseries, run_batch
+# hopwar does no linear algebra; this must run before the first import that
+# loads numpy (.config -> .attacker -> numpy).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .config import ConfigError, load_config  # noqa: E402
+from .engine import emit_summary, emit_timeseries, run_batch  # noqa: E402
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, like every other bad input."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hopwar", description=__doc__.strip().splitlines()[0])
+    parser = _Parser(prog="hopwar", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a scenario batch and write CSV results")
     run.add_argument("--config", required=True, help="path to a key = value scenario file")

@@ -205,6 +205,10 @@ def run_batch(config: ScenarioConfig, collect_trace: bool = False) -> BatchResul
 
     if shares < 2:
         return BatchResult(config=config, runs=run_share(0))
+    # numpy loads numpy.random on first use; load it here, once, rather than
+    # once in the caller and again in every child after the fork.
+    import numpy.random  # noqa: F401
+
     children: list[tuple[int, int]] = []
     payloads: list[bytes] = []
     exit_codes: list[int] = []
@@ -312,15 +316,20 @@ def emit_summary(batch: BatchResult, path: str | Path) -> Path:
 
 
 def emit_timeseries(run: RunMetrics, path: str | Path) -> Path:
-    """Write one run's per-second trace (requires collect_trace)."""
+    """Write one run's per-second trace (requires collect_trace).
+
+    The bytes are those of ``csv.writer``'s default dialect (CRLF line ends;
+    no field needs quoting), built as one string and written in one call.
+    """
     if run.trace is None:
         raise ValueError("run was simulated without collect_trace=True")
     path = Path(path)
+    lines = [",".join(TIMESERIES_HEADER)]
+    lines += [
+        f"{float(t_s)!r},{float(pdr)!r},{tx},{'' if jam is None else jam},{outcome}"
+        for t_s, pdr, tx, jam, outcome in run.trace
+    ]
+    lines.append("")
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TIMESERIES_HEADER)
-        for t_s, pdr, tx, jam, outcome in run.trace:
-            writer.writerow(
-                [repr(float(t_s)), repr(float(pdr)), tx, "" if jam is None else jam, outcome]
-            )
+        handle.write("\r\n".join(lines))
     return path

@@ -259,3 +259,110 @@ def test_output_does_not_depend_on_the_core_count(config_file, tmp_path, monkeyp
         assert main(["run", "--config", str(config_file), "--out-dir", str(out), "--timeseries"]) == 0
         outputs[cores] = {name: (out / name).read_bytes() for name in ("summary.csv", "run_11.csv", "run_12.csv")}
     assert outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["run"], ["run", "--config"], ["run", "--config", "scenario.cfg", "--bogus"], ["frob"]],
+    ids=["no-command", "run-without-config", "config-without-path", "unknown-flag", "unknown-command"],
+)
+def test_usage_error_is_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hopwar")
+    assert "error: " in err
+
+
+def test_help_is_exit_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hopwar run")
+
+
+# --- start-up: what importing and starting hopwar loads -----------------------
+
+
+def fresh_python(code: str, *args: str, openblas_threads: str | None = None) -> subprocess.CompletedProcess:
+    """Run ``python -c code *args`` in a new interpreter, with ``OPENBLAS_NUM_THREADS`` unset or set."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_importing_hopwar_loads_no_numpy():
+    code = "import sys, hopwar; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    assert fresh_python(code).stdout.strip() == "[]"
+
+
+def test_importing_the_engine_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; run_batch loads it before it forks.
+    code = "import sys, hopwar.engine; print('numpy' in sys.modules, 'numpy.random' in sys.modules)"
+    assert fresh_python(code).stdout.split() == ["True", "False"]
+
+
+# How each entry path starts hopwar: ``python -m hopwar``, ``python -m
+# hopwar.cli``, and the ``hopwar`` console script (which imports main).
+ENTRY_PATHS = {
+    "python -m hopwar": "import runpy; runpy.run_module('hopwar', run_name='__main__', alter_sys=True)",
+    "python -m hopwar.cli": "import runpy; runpy.run_module('hopwar.cli', run_name='__main__', alter_sys=True)",
+    "hopwar": "import sys; from hopwar.cli import main; sys.exit(main(sys.argv[1:]))",
+}
+REPORT_BLAS_THREADS_AT_EXIT = (
+    "import atexit, os, sys\n"
+    "atexit.register(lambda: print('OPENBLAS_NUM_THREADS', os.environ.get('OPENBLAS_NUM_THREADS')))\n"
+)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "user-set"])
+@pytest.mark.parametrize("entry", list(ENTRY_PATHS))
+def test_every_entry_path_defaults_blas_to_one_thread_and_keeps_a_user_value(
+    entry, preset, expected, config_file, tmp_path
+):
+    argv = ["run", "--config", str(config_file), "--runs", "1", "--out-dir", str(tmp_path / "out")]
+    proc = fresh_python(REPORT_BLAS_THREADS_AT_EXIT + ENTRY_PATHS[entry], *argv, openblas_threads=preset)
+    assert (tmp_path / "out" / "summary.csv").exists()
+    assert proc.stdout.splitlines()[-1] == f"OPENBLAS_NUM_THREADS {expected}"
+
+
+def numpy_blas_is_openblas() -> bool:
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without the dicts mode, or no BLAS entry
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists() or not numpy_blas_is_openblas(),
+    reason="needs /proc and a numpy built with OpenBLAS",
+)
+def test_importing_the_cli_starts_no_blas_threads():
+    code = (
+        "import hopwar.cli\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(next(line for line in status.splitlines() if line.startswith('Threads:')))\n"
+    )
+    assert fresh_python(code).stdout.split() == ["Threads:", "1"]
+
+
+def test_blas_thread_count_does_not_change_the_output(tmp_path):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("sim_duration_s = 20\nattacker = bandit\nseed = 3\nruns = 2\n")
+    outputs = {}
+    for preset in (None, "2"):
+        out = tmp_path / f"out_{preset}"
+        argv = ["run", "--config", str(config), "--out-dir", str(out), "--timeseries"]
+        fresh_python(ENTRY_PATHS["hopwar"], *argv, openblas_threads=preset)
+        outputs[preset] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert sorted(outputs[None]) == ["run_3.csv", "run_4.csv", "summary.csv"]
+    assert outputs[None] == outputs["2"]

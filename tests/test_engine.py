@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 from collections import Counter
 
@@ -224,6 +226,21 @@ def test_emit_timeseries_requires_a_trace(tmp_path):
     m = run_scenario(short_config())
     with pytest.raises(ValueError):
         emit_timeseries(m, tmp_path / "x.csv")
+
+
+def test_emit_timeseries_writes_the_bytes_of_csv_writer(tmp_path):
+    # A lossy run whose jammer starts at 10 s and then scans: its trace has
+    # silent (None) jam channels and all three outcomes.
+    m = run_scenario(short_config(attacker="reactive", loss_prob=0.2, attack_start_s=10), collect_trace=True)
+    assert {outcome for *_, outcome in m.trace} == {"delivered", "jammed", "lost"}
+    assert any(jam is None for _, _, _, jam, _ in m.trace)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(TIMESERIES_HEADER)
+    for t_s, pdr, tx, jam, outcome in m.trace:
+        writer.writerow([repr(float(t_s)), repr(float(pdr)), tx, "" if jam is None else jam, outcome])
+    path = emit_timeseries(m, tmp_path / "run_7.csv")
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_emitted_files_are_byte_stable(tmp_path):
