@@ -117,8 +117,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ScenarioConf
     """Parse a config file, apply CLI overrides, validate, return the result."""
     path = Path(path)
     try:
-        # UTF-8 on every host, whatever the locale would pick.
-        text = path.read_text(encoding="utf-8")
+        # UTF-8 on every host, whatever the locale would pick; a leading
+        # byte-order mark, as some editors write, is dropped.
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     config = parse_config_text(text, source=str(path))

@@ -2,10 +2,11 @@
 
 The victim transmits one packet per slot and watches its own delivery ratio
 over a sliding window. When the windowed ratio drops below the detection
-threshold it declares a jammer. The window starts full of successes and is
-refilled with successes after every detection: the node presumes the new
-channel is clean, so each detection grants the attacker the same fixed
-budget of jams before the next one can fire, no more.
+threshold it declares a jammer: that is, when more than a fixed budget of
+failures falls in the last window of slots. Only failures since the last
+reset count. A detection resets the count, as the node presumes the new
+channel is clean, so each detection grants the attacker the same budget of
+jams before the next one can fire, no more.
 
 Two hop policies share that detector:
 
@@ -61,7 +62,7 @@ _FAILURE_DECAY_POW = [SMART_FAILURE_DECAY**k for k in range(SMART_DECAY_TABLE_LE
 
 
 class BaseDefender:
-    """Transmitter state shared by the hop policies: channel, counters, detector.
+    """Transmitter state shared by the hop policies: channel, counters, slot clock, detector.
 
     ``config`` is the run's ``ScenarioConfig``; its channel count and
     detector window and threshold are read once. The node starts on
@@ -76,34 +77,39 @@ class BaseDefender:
         self.channel = 0
         self.hops = 0
         self.detections = 0
-        # Outcomes recorded since the last reset; the rest of the window is
-        # the implicit successes a reset presumes, counted in ``_good``.
-        self._window: deque[bool] = deque(maxlen=window_slots)
-        self._good = window_slots
-        # Integer firing bound: fire iff good successes < ceil(threshold * W),
-        # computed once so float rounding can never fire at exactly-threshold.
-        self._min_good = math.ceil(config.detection_threshold * window_slots - 1e-9)
+        # Slots recorded so far: the one slot clock of the node.
+        self._now = 0
+        # Slot stamps of the failures since the last reset, oldest first.
+        self._failures: deque[int] = deque()
+        # Integer firing bound: fire iff more than W - ceil(threshold * W) of
+        # the last W slots failed, that is iff the windowed ratio is below the
+        # threshold; computed once so float rounding can never fire at exactly-threshold.
+        self._budget = window_slots - math.ceil(config.detection_threshold * window_slots - 1e-9)
 
     @property
     def pdr(self) -> float:
         """Delivery ratio over the detector window."""
-        return self._good / self.window_slots
+        oldest = self._now - self.window_slots
+        return (self.window_slots - sum(stamp > oldest for stamp in self._failures)) / self.window_slots
 
     def _reset_window(self) -> None:
-        self._window.clear()
-        self._good = self.window_slots
+        self._failures.clear()
 
     def record_and_detect(self, delivered: bool) -> bool:
-        """Fold one slot outcome into the detector; True when it fires.
+        """Tick the clock and count a failure; True when the budget is spent.
 
-        A firing resets the window to all-successes, so consecutive
-        detections are always a full failure budget apart.
+        A delivery only ticks the clock. A firing clears the failures, so
+        consecutive detections are always a full failure budget apart.
         """
-        window = self._window
-        # Until the window has filled, the slot leaving it is an implicit success.
-        self._good += delivered - (window[0] if len(window) == self.window_slots else True)
-        window.append(delivered)
-        if self._good < self._min_good:
+        now = self._now = self._now + 1
+        if delivered:
+            return False
+        failures = self._failures
+        failures.append(now)
+        # The new stamp is in the window, so the pruning stops at it.
+        while failures[0] <= now - self.window_slots:
+            failures.popleft()
+        if len(failures) > self._budget:
             self.detections += 1
             self._reset_window()
             self._on_detection()
@@ -157,7 +163,6 @@ class SmartDefender(BaseDefender):
         self._streak = 0
         self._since_home = 0
         self._burned: deque[int] = deque(maxlen=min(SMART_AVOID_RECENT, self.num_channels - 1))
-        self._now = 0
         self._succ = [0.0] * self.num_channels
         self._fail = [0.0] * self.num_channels
         self._stamp = [0] * self.num_channels
@@ -191,8 +196,8 @@ class SmartDefender(BaseDefender):
     def _move_home(self) -> int:
         """Leave the current home for the best channel not recently lived in.
 
-        Moving also refills the detector window: the statistic belongs to
-        the channel epoch it was collected on, and the node presumes the
+        Moving also clears the detector's failures: the statistic belongs
+        to the channel epoch it was collected on, and the node presumes the
         new home is clean, exactly as it does after a detection.
         """
         self._streak = 0
@@ -224,11 +229,13 @@ class SmartDefender(BaseDefender):
         return self.channel
 
     def record_and_detect(self, delivered: bool) -> bool:
-        """Fold the slot into the decayed evidence, then into the detector.
+        """Count the slot in the detector, then fold it into the decayed evidence.
 
         Only the channel the slot was sent on is brought up to date.
         """
-        now = self._now = self._now + 1
+        # Called directly: super() would build a proxy object every slot.
+        detected = BaseDefender.record_and_detect(self, delivered)
+        now = self._now
         channel = self.channel
         age = now - self._stamp[channel]
         self._stamp[channel] = now
@@ -252,8 +259,7 @@ class SmartDefender(BaseDefender):
                 self._streak += 1
         self._succ[channel] = succ
         self._fail[channel] = fail
-        # Called directly: super() would build a proxy object every slot.
-        return BaseDefender.record_and_detect(self, delivered)
+        return detected
 
 
 # Name -> constructor from the config: the one place to add a hop policy.

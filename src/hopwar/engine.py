@@ -291,17 +291,12 @@ TIMESERIES_HEADER = ["t_s", "pdr", "tx_channel", "jam_channel", "outcome"]
 
 
 def summary_row(batch: BatchResult) -> list:
-    """The batch aggregate row under ``SUMMARY_HEADER``, floats as ``repr``."""
-    return [
-        batch.config.attacker,
-        batch.config.defender,
-        len(batch.runs),
-        repr(batch.mean_pdr),
-        repr(batch.mean_success_rate),
-        repr(batch.mean_retransmissions),
-        repr(batch.mean_detections),
-        repr(batch.mean_extra_energy_j),
-        repr(batch.std_pdr),
+    """The batch aggregate row under ``SUMMARY_HEADER``, floats as ``repr``.
+
+    Each float column is named after the ``BatchResult`` property it reads.
+    """
+    return [batch.config.attacker, batch.config.defender, len(batch.runs)] + [
+        repr(getattr(batch, name)) for name in SUMMARY_HEADER[3:]
     ]
 
 

@@ -76,6 +76,18 @@ def test_load_config_applies_overrides_last(tmp_path):
     assert cfg.attacker == "random"
 
 
+def test_config_file_with_a_byte_order_mark_loads_as_without(tmp_path):
+    # The mark was read as part of the first key: unknown key '\ufeffattacker'.
+    text = "attacker = bandit\ndefender = smart\nseed = 7\n"
+    plain = tmp_path / "plain.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / "marked.cfg"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_config(marked) == load_config(plain)
+    assert load_config(marked).attacker == "bandit"
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/path.cfg")

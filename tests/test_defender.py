@@ -1,7 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hopwar import engine
 from hopwar.attacker import ATTACKERS
@@ -67,13 +70,72 @@ def test_old_slots_slide_out():
     assert d.pdr == 1.0
 
 
-def test_window_holds_only_outcomes_since_the_last_reset():
-    # The rest of a long window is implicit successes, never stored.
+def test_detector_holds_no_more_stamps_than_its_failure_budget():
+    # Only failures are stored, and never more than the budget: a long
+    # window costs nothing for the deliveries in it.
     d = make(window=5000)
     for slot in range(100):
         d.record_and_detect(slot % 2 == 0)
-    assert len(d._window) <= 100
+        assert len(d._failures) <= d._budget
     assert d.pdr == (5000 - 50) / 5000
+
+    d = make(window=10, threshold=0.8)
+    assert d._budget == 2
+    coins = random.Random(13)
+    for _ in range(10_000):
+        d.record_and_detect(coins.random() < 0.7)
+        assert len(d._failures) <= d._budget
+    assert d.detections > 0
+
+
+class ReferenceDetector:
+    """The detector written plainly: every outcome since the last reset, and
+    the slots before the reset counted as successes."""
+
+    def __init__(self, window, threshold):
+        self.window = window
+        self.min_good = math.ceil(threshold * window - 1e-9)
+        self.outcomes = []
+        self.detections = 0
+
+    @property
+    def good(self):
+        return self.window - self.outcomes[-self.window :].count(False)
+
+    @property
+    def pdr(self):
+        return self.good / self.window
+
+    def record_and_detect(self, delivered):
+        self.outcomes.append(delivered)
+        if self.good < self.min_good:
+            self.detections += 1
+            self.outcomes.clear()
+            return True
+        return False
+
+
+# A slot's outcome, or None for a reset as a smart home move makes; resets are
+# rare enough that a window of up to 60 slots fills between them.
+DETECTOR_STEPS = st.lists(st.sampled_from((True,) * 12 + (False,) * 7 + (None,)), min_size=100, max_size=400)
+EXAMPLE_STEPS = random.Random(3).choices((True, False, None), weights=(75, 22, 3), k=400)
+
+
+@given(window=st.integers(1, 60), threshold=st.floats(0.0, 1.0, exclude_min=True), steps=DETECTOR_STEPS)
+@example(window=10, threshold=1.0, steps=EXAMPLE_STEPS)
+@example(window=10, threshold=0.8, steps=EXAMPLE_STEPS)
+def test_failure_budget_detector_matches_the_plain_window(window, threshold, steps):
+    d = make(window=window, threshold=threshold)
+    ref = ReferenceDetector(window, threshold)
+    for delivered in steps:
+        if delivered is None:
+            d._reset_window()
+            ref.outcomes.clear()
+            continue
+        assert d.record_and_detect(delivered) == ref.record_and_detect(delivered)
+        assert d.detections == ref.detections
+        assert d.pdr == ref.pdr
+        assert len(d._failures) <= d._budget
 
 
 def test_interleaved_failures_need_the_same_budget():
