@@ -10,11 +10,18 @@ Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is
 already set, before numpy loads: hopwar uses only ``numpy.random``, so
 OpenBLAS's thread pool would only cost start-up time. Set the variable
 yourself to override it.
+
+``python -m hopwar``, ``python -m hopwar.cli`` and the ``hopwar`` script run
+``console_main``, which freezes the garbage collector once ``main`` has
+written the outputs, so the interpreter's final collection at exit skips the
+objects the run leaves behind. ``main`` itself, called in-process, leaves the
+collector as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -95,5 +102,17 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def console_main() -> int:
+    """``main`` for a process that exits when it returns; the command-line entry paths run it.
+
+    Freezing the collector moves every live object out of its reach, so the
+    interpreter's final collection at exit does not traverse them. ``os._exit``
+    would be cheaper but would skip ``atexit`` handlers.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -32,6 +32,7 @@ values scalar draws give.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 
 import numpy as np
@@ -89,8 +90,9 @@ class BaseDefender:
     @property
     def pdr(self) -> float:
         """Delivery ratio over the detector window."""
-        oldest = self._now - self.window_slots
-        return (self.window_slots - sum(stamp > oldest for stamp in self._failures)) / self.window_slots
+        failures = self._failures
+        in_window = len(failures) - bisect_right(failures, self._now - self.window_slots)
+        return (self.window_slots - in_window) / self.window_slots
 
     def _reset_window(self) -> None:
         self._failures.clear()

@@ -13,8 +13,8 @@ All randomness flows from the run seed through fixed per-component streams
 and seed: same inputs, byte-identical outputs.
 
 That is what lets ``run_batch`` split a batch's seeds between the caller and
-one forked child per extra usable core: the runs come back in seed order,
-the same bytes whatever the core count.
+one forked child per extra usable core, each share on a core of its own: the
+runs come back in seed order, the same bytes whatever the core count.
 """
 
 from __future__ import annotations
@@ -196,9 +196,20 @@ def run_batch(config: ScenarioConfig, collect_trace: bool = False) -> BatchResul
     pipes its pickled runs back and exits. Every child has been read and
     waited for when this returns or raises, and an exception raised in a
     child is raised again here.
+
+    When the shares fill the caller's affinity mask, each share runs pinned
+    to one core of it, in order: the caller on the first, each child on the
+    next, so the shares run side by side rather than wherever the scheduler
+    leaves a child. Pinning is best effort: a core the kernel refuses leaves
+    that share unpinned. The caller's mask is set back to the mask read at
+    the start once every child has been waited for; a failure to set it back
+    raises. A mask wider than the shares pins nothing, so batches that run
+    at once can spread over it.
     """
     seeds = [config.seed + i for i in range(config.runs)]
-    shares = min(len(seeds), _usable_cores())
+    cores = _usable_cores()
+    shares = max(1, min(len(seeds), len(cores)))
+    pin = shares == len(cores)
 
     def run_share(share: int) -> list[RunMetrics]:
         return [run_scenario(config, seed=seed, collect_trace=collect_trace) for seed in seeds[share::shares]]
@@ -223,9 +234,15 @@ def run_batch(config: ScenarioConfig, collect_trace: bool = False) -> BatchResul
                 raise
             if pid == 0:
                 os.close(read_fd)
+                if pin:
+                    _pin(cores[share])
                 _child_main(write_fd, lambda: run_share(share))
             children.append((pid, read_fd))
             os.close(write_fd)
+        # Pinned after the forks, so a child whose core is refused keeps the
+        # caller's whole mask.
+        if pin:
+            _pin(cores[0])
         runs = run_share(0)
     finally:
         for _, read_fd in children:
@@ -233,6 +250,8 @@ def run_batch(config: ScenarioConfig, collect_trace: bool = False) -> BatchResul
                 payloads.append(pipe.read())
         for pid, _ in children:
             exit_codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        if pin:
+            os.sched_setaffinity(0, cores)
     for (pid, _), payload, code in zip(children, payloads, exit_codes):
         if code != 0:
             raise RuntimeError(f"run_batch: the child running a seed share (pid {pid}) exited with {code}")
@@ -244,11 +263,19 @@ def run_batch(config: ScenarioConfig, collect_trace: bool = False) -> BatchResul
     return BatchResult(config=config, runs=sorted(runs, key=lambda run: run.seed))
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on; 1 where it cannot fork or ask."""
+def _usable_cores() -> list[int]:
+    """The cores this process may run on, in order; none where it cannot fork or ask."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _pin(core: int) -> None:
+    """Run this process on ``core`` only, if the kernel allows it; else leave it as it is."""
+    try:
+        os.sched_setaffinity(0, [core])
+    except OSError:
+        pass
 
 
 def _child_main(write_fd: int, work) -> None:

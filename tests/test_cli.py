@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -285,7 +286,9 @@ def test_help_is_exit_0(capsys):
 # --- start-up: what importing and starting hopwar loads -----------------------
 
 
-def fresh_python(code: str, *args: str, openblas_threads: str | None = None) -> subprocess.CompletedProcess:
+def fresh_python(
+    code: str, *args: str, openblas_threads: str | None = None, returncode: int = 0
+) -> subprocess.CompletedProcess:
     """Run ``python -c code *args`` in a new interpreter, with ``OPENBLAS_NUM_THREADS`` unset or set."""
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     if openblas_threads is not None:
@@ -293,7 +296,7 @@ def fresh_python(code: str, *args: str, openblas_threads: str | None = None) -> 
     proc = subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=60
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return proc
 
 
@@ -309,12 +312,21 @@ def test_importing_the_engine_leaves_numpy_random_unloaded():
 
 
 # How each entry path starts hopwar: ``python -m hopwar``, ``python -m
-# hopwar.cli``, and the ``hopwar`` console script (which imports main).
+# hopwar.cli``, and the ``hopwar`` console script, which calls the function
+# ``pyproject.toml`` names (checked below), as an installed script does.
 ENTRY_PATHS = {
     "python -m hopwar": "import runpy; runpy.run_module('hopwar', run_name='__main__', alter_sys=True)",
     "python -m hopwar.cli": "import runpy; runpy.run_module('hopwar.cli', run_name='__main__', alter_sys=True)",
-    "hopwar": "import sys; from hopwar.cli import main; sys.exit(main(sys.argv[1:]))",
+    "hopwar": "import sys; from hopwar.cli import console_main; sys.exit(console_main())",
 }
+
+
+def test_the_hopwar_script_runs_console_main():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+    assert project["scripts"]["hopwar"] == "hopwar.cli:console_main"
+
+
 REPORT_BLAS_THREADS_AT_EXIT = (
     "import atexit, os, sys\n"
     "atexit.register(lambda: print('OPENBLAS_NUM_THREADS', os.environ.get('OPENBLAS_NUM_THREADS')))\n"
@@ -330,6 +342,44 @@ def test_every_entry_path_defaults_blas_to_one_thread_and_keeps_a_user_value(
     proc = fresh_python(REPORT_BLAS_THREADS_AT_EXIT + ENTRY_PATHS[entry], *argv, openblas_threads=preset)
     assert (tmp_path / "out" / "summary.csv").exists()
     assert proc.stdout.splitlines()[-1] == f"OPENBLAS_NUM_THREADS {expected}"
+
+
+REPORT_FREEZE_AT_EXIT = (
+    "import atexit, gc\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+)
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_PATHS))
+def test_every_entry_path_writes_the_bytes_of_main_and_freezes_the_collector_at_exit(
+    entry, config_file, tmp_path, capsys
+):
+    def argv(out):
+        return ["run", "--config", str(config_file), "--out-dir", str(out), "--timeseries"]
+
+    assert main(argv(tmp_path / "main")) == 0
+    want_stdout = capsys.readouterr().out.replace(str(tmp_path / "main"), str(tmp_path / "entry"))
+    proc = fresh_python(REPORT_FREEZE_AT_EXIT + ENTRY_PATHS[entry], *argv(tmp_path / "entry"))
+    assert proc.stdout == want_stdout + "frozen True\n"
+    names = ["summary.csv", "run_11.csv", "run_12.csv"]
+    wrote = [line for line in proc.stdout.splitlines() if line.startswith("wrote ")]
+    assert wrote == [f"wrote {tmp_path / 'entry' / name}" for name in names]
+    for name in names:
+        assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_PATHS))
+def test_every_entry_path_exits_1_on_a_config_error(entry, tmp_path):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("warp_speed = 9\n")
+    proc = fresh_python(ENTRY_PATHS[entry], "run", "--config", str(config), returncode=1)
+    assert proc.stderr.startswith("hopwar: config error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_in_process_main_leaves_the_collector_unfrozen(config_file, tmp_path):
+    assert main(["run", "--config", str(config_file), "--out-dir", str(tmp_path / "out")]) == 0
+    assert gc.get_freeze_count() == 0
 
 
 def numpy_blas_is_openblas() -> bool:

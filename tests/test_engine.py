@@ -2,6 +2,7 @@ import csv
 import io
 import os
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -187,6 +188,73 @@ def test_single_run_batch_never_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     assert run_batch(short_config(runs=1)).seeds == [7]
+
+
+REAL_CORES = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+needs_two_cores = pytest.mark.skipif(len(REAL_CORES) < 2, reason="needs 2 usable cores")
+
+
+class Placement(NamedTuple):
+    """A stand-in run: the seed and the cores its share was allowed to run on."""
+
+    seed: int
+    cores: list[int]
+
+
+def report_placement(config, seed=None, collect_trace=False):
+    return Placement(seed, sorted(os.sched_getaffinity(0)))
+
+
+@needs_two_cores
+def test_each_share_runs_on_a_core_of_its_own_when_the_shares_fill_the_mask(monkeypatch):
+    monkeypatch.setattr(engine, "run_scenario", report_placement)
+    shares = len(REAL_CORES)
+    runs = run_batch(short_config(runs=2 * shares, seed=40)).runs
+    # Seed 40 + i is dealt to share i % shares, which runs on the share's core.
+    assert runs == [Placement(40 + i, [REAL_CORES[i % shares]]) for i in range(2 * shares)]
+
+
+@needs_two_cores
+def test_a_mask_wider_than_the_shares_pins_no_share(monkeypatch):
+    monkeypatch.setattr(engine, "run_scenario", report_placement)
+    monkeypatch.setattr(engine, "_usable_cores", lambda: REAL_CORES + [REAL_CORES[-1] + 1])
+    assert run_batch(short_config(runs=2, seed=40)).runs == [Placement(40, REAL_CORES), Placement(41, REAL_CORES)]
+
+
+@needs_two_cores
+@pytest.mark.parametrize("failing_seed", [None, 40, 41], ids=["batch", "caller-share-raises", "child-share-raises"])
+def test_run_batch_restores_the_callers_affinity(monkeypatch, failing_seed):
+    def run(config, seed=None, collect_trace=False):
+        if seed == failing_seed:
+            raise KeyError(f"seed {seed}")
+        return report_placement(config, seed)
+
+    monkeypatch.setattr(engine, "run_scenario", run)
+    mask = os.sched_getaffinity(0)
+    config = short_config(runs=2 * len(REAL_CORES), seed=40)
+    if failing_seed is None:
+        run_batch(config)
+    else:
+        with pytest.raises(KeyError, match=f"seed {failing_seed}"):
+            run_batch(config)
+    assert os.sched_getaffinity(0) == mask
+
+
+@needs_two_cores
+def test_a_refused_restore_raises_once_every_child_is_waited_for(monkeypatch):
+    set_affinity = os.sched_setaffinity
+
+    def refuse_restore(pid, mask):
+        if len(mask) > 1:
+            raise PermissionError("restore refused")
+        set_affinity(pid, mask)
+
+    monkeypatch.setattr(engine, "run_scenario", report_placement)
+    monkeypatch.setattr(os, "sched_setaffinity", refuse_restore)
+    with pytest.raises(PermissionError, match="restore refused"):
+        run_batch(short_config(runs=2 * len(REAL_CORES), seed=40))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_batch_aggregates_match_the_runs():
