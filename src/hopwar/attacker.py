@@ -146,6 +146,16 @@ class PhasedJammer(Jammer):
     over the last ``eval_len`` attacking slots guards the whole thing: if it
     falls below ``retrain_trigger`` the map is considered stale and the
     jammer goes back to listening from scratch.
+
+    An attacking slot does constant work: the jammer tracks ``_best``, the
+    first maximum of ``counts``, instead of scanning the map each slot. A
+    full rank also records ``_below``, the largest count before ``_best``,
+    and ``_above``, the largest count after it; ``_best`` stays the first
+    maximum while its count stays above ``_below`` and at or above
+    ``_above``, since no other count can rise without a re-rank. ``_best``
+    is -1, so the next attacking slot re-ranks, after a probe hits a channel
+    other than ``_best``, after a miss on ``_best`` breaks either bound, and
+    at the end of every listening phase, the one a retrain starts included.
     """
 
     def __init__(self, num_channels: int, listen_len: int, eval_len: int, retrain_trigger: float) -> None:
@@ -164,19 +174,30 @@ class PhasedJammer(Jammer):
         self._est_sum = 0
         # Retrain when the hits in a full estimate window fall below this.
         self._retrain_below = retrain_trigger * eval_len
+        # The tracked first maximum of counts (-1: re-rank) and its bounds.
+        self._best = -1
+        self._below = self._above = -1.0
+
+    def _rank(self) -> int:
+        """Scan the map for its first maximum and record its bounds."""
+        counts = self.counts
+        # First maximum, as the lowest index wins a tie.
+        best = self._best = counts.index(max(counts))
+        self._below = max(counts[:best], default=-1.0)
+        self._above = max(counts[best + 1 :], default=-1.0)
+        return best
 
     def step(self, victim_channel: int) -> int | None:
         if self.listening:
             self.sensing_channel = self._sweep
             return None
-        counts = self.counts
-        best_count = max(counts)
-        # First maximum, as the lowest index wins a tie.
-        best = counts.index(best_count)
-        if best_count <= 0.0:
+        best = self._best
+        if best < 0:
+            best = self._rank()
+        if self.counts[best] <= 0.0:
             # Map exhausted: probe round-robin until a channel answers.
             best = self._probe
-            self._probe = (self._probe + 1) % self.num_channels
+            self._probe = (best + 1) % self.num_channels
         self.sensing_channel = best
         return best
 
@@ -191,16 +212,22 @@ class PhasedJammer(Jammer):
             self._listen_left -= 1
             if self._listen_left <= 0:
                 self.listening = False
+                self._best = -1
             return
         target = self.sensing_channel
         if sensed_busy:
             hit = 1
             count = counts[target] + 1.0
             counts[target] = count if count < PHASED_COUNT_CAP else PHASED_COUNT_CAP
+            if target != self._best:
+                # A probe answered on a drained map: it may now lead.
+                self._best = -1
         else:
             hit = 0
             count = counts[target] - PHASED_MISS_DECREMENT
-            counts[target] = count if count > 0.0 else 0.0
+            count = counts[target] = count if count > 0.0 else 0.0
+            if (count <= self._below or count < self._above) and target == self._best:
+                self._best = -1
         est = self._est
         filled = len(est)
         # A full estimate window drops its oldest slot as this one enters.

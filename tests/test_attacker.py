@@ -2,11 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hopwar.attacker import (
     ATTACKERS,
+    PHASED_COUNT_CAP,
     BanditJammer,
     OracleJammer,
     PhasedJammer,
@@ -16,6 +17,7 @@ from hopwar.attacker import (
 )
 from hopwar.config import ConfigError, ScenarioConfig, validate
 from hopwar.defender import DEFENDERS, Defender, RandomDefender, SmartDefender
+from hopwar.engine import run_scenario
 
 
 def drive(attacker, victim_channel):
@@ -151,6 +153,104 @@ def test_phased_retrains_when_the_estimate_collapses():
     assert j.retrains == 1
     assert j.listening
     assert all(c == 0.0 for c in j.counts)
+
+
+class PlainScanPhasedJammer(PhasedJammer):
+    """The reference: the phased jammer scanning its whole map every attacking slot."""
+
+    def step(self, victim_channel):
+        if self.listening:
+            self.sensing_channel = self._sweep
+            return None
+        counts = self.counts
+        best_count = max(counts)
+        best = counts.index(best_count)
+        if best_count <= 0.0:
+            best = self._probe
+            self._probe = (self._probe + 1) % self.num_channels
+        self.sensing_channel = best
+        return best
+
+
+# Sensed outcomes as (busy, slots) runs, so maps drain and probes happen.
+SENSED_RUNS = st.lists(st.tuples(st.booleans(), st.integers(1, 40)), max_size=30)
+
+
+@given(
+    num_channels=st.integers(2, 8),
+    listen_len=st.integers(1, 30),
+    eval_len=st.integers(1, 30),
+    retrain_trigger=st.sampled_from((0.0, 0.3, 0.6)),
+    runs=SENSED_RUNS,
+)
+# Both channels capped at PHASED_COUNT_CAP: the lower index wins every tie.
+@example(num_channels=2, listen_len=80, eval_len=30, retrain_trigger=0.0, runs=[(True, 80), (False, 4), (True, 1), (False, 3)])
+# Channel 0 drains to zero, then round-robin probes miss, then one answers
+# on channel 1 above the stale best on channel 0.
+@example(
+    num_channels=3, listen_len=3, eval_len=30, retrain_trigger=0.0, runs=[(True, 1), (False, 2), (False, 14), (True, 1), (False, 3)]
+)
+# A retrain while channel 0 still leads; the second map leads on channel 2.
+@example(
+    num_channels=4,
+    listen_len=4,
+    eval_len=5,
+    retrain_trigger=0.6,
+    runs=[(True, 1), (False, 3), (False, 5), (False, 2), (True, 1), (False, 1), (True, 3)],
+)
+def test_phased_tracked_best_matches_a_full_scan_every_slot(num_channels, listen_len, eval_len, retrain_trigger, runs):
+    tracked = PhasedJammer(num_channels, listen_len, eval_len, retrain_trigger)
+    plain = PlainScanPhasedJammer(num_channels, listen_len, eval_len, retrain_trigger)
+    for busy in [busy for busy, slots in runs for _ in range(slots)]:
+        assert tracked.step(0) == plain.step(0)
+        assert tracked.sensing_channel == plain.sensing_channel
+        tracked.observe(busy)
+        plain.observe(busy)
+        assert tracked.counts == plain.counts
+        assert (tracked.listening, tracked.retrains) == (plain.listening, plain.retrains)
+
+
+def counting_ranks(monkeypatch):
+    """Count PhasedJammer's full map scans from here on."""
+    scans = [0]
+    rank = PhasedJammer._rank
+
+    def counted(self):
+        scans[0] += 1
+        return rank(self)
+
+    monkeypatch.setattr(PhasedJammer, "_rank", counted)
+    return scans
+
+
+def test_phased_probes_a_drained_map_without_rescanning(monkeypatch):
+    scans = counting_ranks(monkeypatch)
+    j = PhasedJammer(4, listen_len=4, eval_len=400, retrain_trigger=0.0)
+    for _ in range(4):
+        drive(j, 0)
+    # Channel 0 bleeds from 1.0 to zero; a victim on no channel answers no probe.
+    assert [drive(j, -1) for _ in range(10)] == [0] * 10
+    assert j.counts == [0.0] * 4
+    assert [drive(j, -1) for _ in range(12)] == [0, 1, 2, 3] * 3
+    # One scan when the attack began; a probe miss leaves the first maximum.
+    assert scans[0] == 1
+
+
+def test_phased_rescans_in_under_5_percent_of_its_attacking_slots(monkeypatch):
+    scans = counting_ranks(monkeypatch)
+    attacking = [0]
+    step = PhasedJammer.step
+
+    def counted_step(self, victim_channel):
+        attacking[0] += not self.listening
+        return step(self, victim_channel)
+
+    monkeypatch.setattr(PhasedJammer, "step", counted_step)
+    for defender in ("random", "smart"):
+        scans[0] = attacking[0] = 0
+        run_scenario(ScenarioConfig(attacker="phased", defender=defender), seed=1)
+        assert attacking[0] == 16_800
+        assert scans[0] < 0.05 * attacking[0], defender
 
 
 def test_oracle_follows_every_victim_move_while_attacking():
