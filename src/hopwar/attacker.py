@@ -153,9 +153,10 @@ class PhasedJammer(Jammer):
     and ``_above``, the largest count after it; ``_best`` stays the first
     maximum while its count stays above ``_below`` and at or above
     ``_above``, since no other count can rise without a re-rank. ``_best``
-    is -1, so the next attacking slot re-ranks, after a probe hits a channel
-    other than ``_best``, after a miss on ``_best`` breaks either bound, and
-    at the end of every listening phase, the one a retrain starts included.
+    is set to -1, and the next attacking slot re-ranks, after a probe hits a
+    channel other than ``_best``, after a miss on ``_best`` breaks either
+    bound, and at the end of every listening phase, the one a retrain starts
+    included.
     """
 
     def __init__(self, num_channels: int, listen_len: int, eval_len: int, retrain_trigger: float) -> None:

@@ -17,11 +17,13 @@ from .attacker import ATTACKERS
 from .defender import DEFENDERS
 
 
-# Upper limits on the knobs that size allocations or run time. Every
-# attacker and the smart defender keep per-channel lists and scan them each
-# step or hop, and a batch holds all of its runs in memory. A run steps
-# through every one of its slots, 10**8 of them already take minutes, and a
-# traced run keeps one row per simulated second.
+# Upper limits on the knobs that size allocations or run time. The bandit,
+# the phased jammer and the smart defender keep per-channel lists: the bandit
+# samples every arm each step, the phased jammer scans its map when it
+# re-ranks, and the smart defender compares channels on a home move. A batch
+# holds all of its runs in memory. A run steps through every one of its
+# slots, 10**8 of them already take minutes, and a traced run keeps one row
+# per simulated second.
 MAX_CHANNELS = 1024
 MAX_RUNS = 10_000
 MAX_SLOTS = 10**8

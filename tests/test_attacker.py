@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hopwar.attacker import (
     ATTACKERS,
-    PHASED_COUNT_CAP,
     BanditJammer,
     OracleJammer,
     PhasedJammer,
@@ -184,7 +183,9 @@ SENSED_RUNS = st.lists(st.tuples(st.booleans(), st.integers(1, 40)), max_size=30
     runs=SENSED_RUNS,
 )
 # Both channels capped at PHASED_COUNT_CAP: the lower index wins every tie.
-@example(num_channels=2, listen_len=80, eval_len=30, retrain_trigger=0.0, runs=[(True, 80), (False, 4), (True, 1), (False, 3)])
+@example(
+    num_channels=2, listen_len=80, eval_len=30, retrain_trigger=0.0, runs=[(True, 80), (False, 4), (True, 1), (False, 3)]
+)
 # Channel 0 drains to zero, then round-robin probes miss, then one answers
 # on channel 1 above the stale best on channel 0.
 @example(
