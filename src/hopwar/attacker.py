@@ -31,11 +31,15 @@ _RANDOM_BLOCK = 4096
 class Jammer:
     """The two-phase slot protocol every attacker plays; this base stays silent.
 
+    The engine builds each strategy from ``(config, rng)`` through its
+    ``ATTACKERS`` entry; ``rng`` is the attacker's own generator. Each slot,
     ``step(victim_channel)`` commits the slot's action: the channel to emit
-    on, or None to stay silent. ``sensing_channel`` then names the channel
-    the jammer listens on this slot, or None when it senses nothing. Only
-    when it is set does the engine call ``observe(sensed_busy)`` after the
-    slot resolves, reporting whether that channel carried the victim's
+    on, or None to stay silent. ``sensing_channel`` names the channel the
+    jammer listens on in that slot, or None when it senses nothing; a
+    strategy sets it only when it changes, in ``__init__``, ``step`` or
+    ``observe``, and the engine reads it after each ``step``. Only when it is
+    set does the engine call ``observe(sensed_busy)`` after the slot
+    resolves, reporting whether that channel carried the victim's
     transmission. Sensing needs no acknowledgment traffic: energy on the
     channel is enough, so a successful jam still reads as a hit.
 
@@ -80,6 +84,9 @@ class ReactiveJammer(Jammer):
     them it concludes the victim left and starts a silent round-robin scan,
     dwelling ``dwell`` slots per channel. The first busy slot it hears ends
     the scan and the jammer camps there from the next slot on.
+
+    It always senses the channel it camps on or scans, ``sensing_channel``,
+    which starts at 0 and changes only when the scan moves on.
     """
 
     def __init__(self, num_channels: int, idle_trigger: int, dwell: int) -> None:
@@ -88,16 +95,13 @@ class ReactiveJammer(Jammer):
         self.idle_trigger = idle_trigger
         self.dwell = dwell
         self.attacking = True
-        self.channel = 0
+        self.sensing_channel = 0
         # Quiet slots left before the jammer moves on: counted from
         # ``idle_trigger`` while it camps, from ``dwell`` while it scans.
         self._countdown = idle_trigger
 
     def step(self, victim_channel: int) -> int | None:
-        self.sensing_channel = self.channel
-        if self.attacking:
-            return self.channel
-        return None
+        return self.sensing_channel if self.attacking else None
 
     def observe(self, sensed_busy: bool) -> None:
         if sensed_busy:
@@ -108,7 +112,7 @@ class ReactiveJammer(Jammer):
             self._countdown -= 1
             if self._countdown <= 0:
                 self.attacking = False
-                self.channel = (self.channel + 1) % self.num_channels
+                self.sensing_channel = (self.sensing_channel + 1) % self.num_channels
                 self._countdown = self.dwell
 
 
@@ -285,8 +289,3 @@ ATTACKERS = {
     ),
     "oracle": lambda config, rng: OracleJammer(config.oracle_burst_slots, config.oracle_cooldown_slots),
 }
-
-
-def make_attacker(config, rng: np.random.Generator):
-    """Build the attacker ``config.attacker`` names, drawing from ``rng``."""
-    return ATTACKERS[config.attacker](config, rng)

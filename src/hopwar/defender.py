@@ -65,13 +65,17 @@ _FAILURE_DECAY_POW = [SMART_FAILURE_DECAY**k for k in range(SMART_DECAY_TABLE_LE
 class BaseDefender:
     """Transmitter state shared by the hop policies: channel, counters, slot clock, detector.
 
-    ``config`` is the run's ``ScenarioConfig``; its channel count and
-    detector window and threshold are read once. The node starts on
-    channel 0. A policy subclass supplies ``advance``, which commits the
-    slot's channel, and may react to a detection in ``_on_detection``.
+    Built from ``(config, rng)``: ``config`` is the run's ``ScenarioConfig``,
+    whose channel count and detector window and threshold are read once, and
+    ``rng`` is the defender's own generator, the only one it draws from. The
+    node starts on channel 0. A policy subclass supplies ``advance(avoid)``,
+    which commits the slot's channel given the channel the attacker emitted
+    on in the previous slot (None when it was silent), and may react to a
+    detection in ``_on_detection``.
     """
 
-    def __init__(self, config) -> None:
+    def __init__(self, config, rng: np.random.Generator) -> None:
+        self._rng = rng
         window_slots = config.detection_window_slots
         self.num_channels = config.num_channels
         self.window_slots = window_slots
@@ -129,21 +133,21 @@ class RandomDefender(BaseDefender):
     random channel other than the one the attacker was last sensed on.
     """
 
-    def __init__(self, config) -> None:
-        super().__init__(config)
+    def __init__(self, config, rng: np.random.Generator) -> None:
+        super().__init__(config, rng)
         self.hop_pending = False
 
     def _on_detection(self) -> None:
         self.hop_pending = True
 
-    def advance(self, rng: np.random.Generator, avoid: int | None = None) -> int:
+    def advance(self, avoid: int | None = None) -> int:
         """Commit this slot's channel, hopping first if a detection asked to."""
         if self.hop_pending:
             self.hop_pending = False
             self.hops += 1
-            candidate = int(rng.integers(self.num_channels))
+            candidate = int(self._rng.integers(self.num_channels))
             while candidate == avoid:
-                candidate = int(rng.integers(self.num_channels))
+                candidate = int(self._rng.integers(self.num_channels))
             self.channel = candidate
         return self.channel
 
@@ -154,14 +158,16 @@ class SmartDefender(BaseDefender):
     ``_succ[c]`` / ``_fail[c]`` hold channel ``c``'s tallies as of slot
     ``_stamp[c]`` (slots recorded so far, ``_now``); a tally ``v`` stands for
     ``v * decay ** (_now - _stamp[c])`` today. ``_coins`` holds the unspent
-    rest of the current block of probe coins, last coin first.
+    rest of the current block of probe coins, last coin first. The node is
+    on a probe visit exactly when ``channel != home``: a visit goes to
+    ``probe_target``, which is never the home, and every other slot is
+    spent at home.
     """
 
-    def __init__(self, config) -> None:
-        super().__init__(config)
+    def __init__(self, config, rng: np.random.Generator) -> None:
+        super().__init__(config, rng)
         self.home = 0
         self.probe_target: int | None = None
-        self._probing = False
         self._streak = 0
         self._since_home = 0
         self._burned: deque[int] = deque(maxlen=min(SMART_AVOID_RECENT, self.num_channels - 1))
@@ -170,7 +176,7 @@ class SmartDefender(BaseDefender):
         self._stamp = [0] * self.num_channels
         self._coins: list[float] = []
 
-    def advance(self, rng: np.random.Generator, avoid: int | None = None) -> int:
+    def advance(self, avoid: int | None = None) -> int:
         """Commit this slot's channel and return it.
 
         Flee a failing home, re-home on the timer, sound the last failed
@@ -186,12 +192,10 @@ class SmartDefender(BaseDefender):
         if self.probe_target is not None and self.probe_target != self.home:
             coins = self._coins
             if not coins:
-                coins = self._coins = rng.random(SMART_COIN_BLOCK).tolist()[::-1]
+                coins = self._coins = self._rng.random(SMART_COIN_BLOCK).tolist()[::-1]
             if coins.pop() < SMART_PROBE_PROB:
-                self._probing = True
                 self.channel = self.probe_target
                 return self.channel
-        self._probing = False
         self.channel = self.home
         return self.channel
 
@@ -225,7 +229,6 @@ class SmartDefender(BaseDefender):
         # First maximum, as the lowest index wins a tie.
         self.home = means.index(max(means))
         self.hops += 1
-        self._probing = False
         self.channel = self.home
         self._reset_window()
         return self.channel
@@ -247,9 +250,10 @@ class SmartDefender(BaseDefender):
         else:
             succ = self._succ[channel] * SMART_SUCCESS_DECAY**age
             fail = self._fail[channel] * SMART_FAILURE_DECAY**age
+        probing = channel != self.home
         if delivered:
             succ += 1.0
-            if self._probing:
+            if probing:
                 # The sounded channel is clear again; stop watching it.
                 self.probe_target = None
             else:
@@ -257,19 +261,13 @@ class SmartDefender(BaseDefender):
         else:
             fail += 1.0
             self.probe_target = channel
-            if not self._probing:
+            if not probing:
                 self._streak += 1
         self._succ[channel] = succ
         self._fail[channel] = fail
         return detected
 
 
-# Name -> constructor from the config: the one place to add a hop policy.
-# tests/test_golden.py walks the keys in order, so the order is pinned.
+# Name -> constructor from (config, defender rng): the one place to add a hop
+# policy. tests/test_golden.py walks the keys in order, so the order is pinned.
 DEFENDERS = {"random": RandomDefender, "smart": SmartDefender}
-
-
-# Keeps the engine's class-style name: the benchmark tracer wraps ``engine.Defender``.
-def Defender(config) -> BaseDefender:
-    """Build the defender ``config.defender`` names."""
-    return DEFENDERS[config.defender](config)

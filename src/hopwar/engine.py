@@ -30,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacker import Jammer, make_attacker
-from .config import ScenarioConfig
-from .defender import Defender
+from .attacker import ATTACKERS, Jammer
+from .config import ScenarioConfig, validate
+from .defender import DEFENDERS, BaseDefender
 from .metrics import RunMetrics, retx_energy, total_energy
 from .phy import resolve_slot
 
@@ -46,9 +46,23 @@ def component_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
-def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace: bool = False) -> RunMetrics:
-    """Simulate one run and return its metrics.
+# The two construction hooks, side by side: the engine builds each run's
+# strategies through these module globals, so a wrapper swapped in for either
+# (the benchmark's tracer does that) sees every object a run builds.
+def Defender(config: ScenarioConfig, rng: np.random.Generator) -> BaseDefender:
+    """Build the defender ``config.defender`` names, drawing from ``rng``."""
+    return DEFENDERS[config.defender](config, rng)
 
+
+def make_attacker(config: ScenarioConfig, rng: np.random.Generator) -> Jammer:
+    """Build the attacker ``config.attacker`` names, drawing from ``rng``."""
+    return ATTACKERS[config.attacker](config, rng)
+
+
+def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace: bool = False) -> RunMetrics:
+    """Simulate one run of a config ``validate`` accepts and return its metrics.
+
+    The config is validated first, so a bad one raises ``ConfigError``.
     ``seed`` defaults to ``config.seed``. With ``collect_trace`` the run also
     keeps one (t_s, pdr, tx_channel, jam_channel, outcome) sample per
     emission period for the timeseries CSV.
@@ -58,15 +72,17 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     emission period. A segment before hopping starts holds the defender on
     its channel, one before the attack starts puts a silent stand-in in the
     attacker's place, and the trace sample is taken between segments, so the
-    per-slot loop tests no slot number.
+    per-slot loop tests no slot number. Each slot hands the defender the
+    previous slot's emission and the attacker the slot's transmit channel.
     """
+    validate(config)
     if seed is None:
         seed = config.seed
     def_rng = component_rng(seed, _DEFENDER_STREAM)
     att_rng = component_rng(seed, _ATTACKER_STREAM)
     phy_rng = component_rng(seed, _PHY_STREAM)
 
-    defender = Defender(config)
+    defender = Defender(config, def_rng)
     attacker = make_attacker(config, att_rng)
     loss_prob = config.loss_prob
 
@@ -84,7 +100,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
         trace = []
         stops = heapq.merge(range(stride, num_slots, stride), stops)
 
-    def hold(rng, avoid):
+    def hold(avoid):
         return defender.channel
 
     delivered = 0
@@ -93,7 +109,8 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     # The send queue holds one packet: the head packet, back on it after a
     # failed slot, and recovered by the next delivery.
     retry = False
-    last_jam: int | None = None
+    # The previous slot's emission; none before the first slot.
+    emit: int | None = None
 
     resolve = resolve_slot
     record = defender.record_and_detect
@@ -107,7 +124,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
         agent = attacker if slot >= attack_start else _SILENT
         step = agent.step
         for _ in range(slot, stop):
-            tx = advance(def_rng, last_jam)
+            tx = advance(emit)
             emit = step(tx)
             sense = agent.sensing_channel
             slot_delivered, slot_jammed = resolve(tx, emit, loss_prob, phy_rng)
@@ -123,7 +140,6 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
                     jammed += 1
             if sense is not None:
                 observe(sense == tx)
-            last_jam = emit
         slot = stop
         if trace is not None and stop % stride == 0:
             if slot_jammed:

@@ -7,10 +7,17 @@ cannot fail an example.
 Every test starts on the process's own core mask. ``run_batch`` restores the
 mask it read, and a test that fakes ``os.sched_getaffinity`` makes that a
 fake one, which on a host with more cores would narrow the tests after it.
+
+``pin_note`` is the message of a golden-file mismatch: it names the numpy
+that is running and the one the CI workflow installs, under which the pins
+were made.
 """
 
 import os
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -26,3 +33,14 @@ def own_core_mask():
     mask = os.sched_getaffinity(0)
     yield
     os.sched_setaffinity(0, mask)
+
+
+@pytest.fixture(scope="session")
+def pin_note():
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    pinned = re.search(r"numpy==([\w.]+)", workflow.read_text()) if workflow.is_file() else None
+    release = f"numpy {pinned.group(1)}, " if pinned else ""
+    return (
+        f"running numpy {np.__version__}; the golden files were made under {release}the release "
+        ".github/workflows/tests.yml installs, and numpy does not promise the same Generator streams across releases"
+    )

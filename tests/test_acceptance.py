@@ -17,6 +17,7 @@ import filecmp
 import hashlib
 import json
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -224,15 +225,20 @@ def test_cli_runs_are_byte_identical(tmp_path):
     assert time.perf_counter() - t0 < 10.0
 
 
-def test_campaign_outputs_match_the_pinned_file_byte_for_byte(versus_random_hopper, versus_adaptive_hopper):
-    assert render_campaigns(versus_random_hopper, versus_adaptive_hopper).encode() == CAMPAIGN_GOLDEN.read_bytes()
+def test_campaign_outputs_match_the_pinned_file_byte_for_byte(versus_random_hopper, versus_adaptive_hopper, pin_note):
+    rendered = render_campaigns(versus_random_hopper, versus_adaptive_hopper)
+    assert rendered.encode() == CAMPAIGN_GOLDEN.read_bytes(), pin_note
+
+
+def readme_paper_section() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return readme.split("## Against the paper", 1)[1].split("\n## ", 1)[0]
 
 
 def test_readme_paper_table_quotes_the_pinned_jam_rates():
     # The "Against the paper" table must quote each attacker's pinned mean
     # jam rate against the random hopper, rounded to 0.1%.
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    section = readme.split("## Against the paper", 1)[1].split("\n## ", 1)[0]
+    section = readme_paper_section()
     rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("|")]
     pinned = json.loads(CAMPAIGN_GOLDEN.read_text())
     quoted = {}
@@ -242,6 +248,27 @@ def test_readme_paper_table_quotes_the_pinned_jam_rates():
         expected = float(pinned[f"{attacker} vs random"]["summary"]["mean_success_rate"])
         assert quoted[attacker] == f"{100 * expected:.1f}%", attacker
     assert sorted(quoted) == ["bandit", "oracle", "phased"]
+
+
+def test_readme_paper_prose_quotes_the_pinned_detections_and_energy():
+    # The prose under the table quotes, from the pinned campaigns: the mean
+    # detections per run of the three paper attackers against the random
+    # hopper (to 0.1), zero detections in every smart-hopper pairing, and
+    # the range of mean total energy over all ten pairings (to 1 mJ).
+    section = readme_paper_section()
+    pinned = json.loads(CAMPAIGN_GOLDEN.read_text())
+    stealth = " ".join(section.split("**Stealth limit.**", 1)[1].split("\n\n", 1)[0].split())
+    quoted = {name: count for count, name in re.findall(r"(\d+\.\d)(?: times)? for `(\w+)`", stealth)}
+    assert sorted(quoted) == ["bandit", "oracle", "phased"]
+    for attacker, count in quoted.items():
+        expected = float(pinned[f"{attacker} vs random"]["summary"]["mean_detections"])
+        assert count == f"{expected:.1f}", attacker
+    assert "Detections read 0 in every smart-hopper pairing" in section
+    smart = [entry for name, entry in pinned.items() if name.endswith(" vs smart")]
+    assert len(smart) == 5 and all(float(entry["summary"]["mean_detections"]) == 0.0 for entry in smart)
+    energies = [float(entry["mean_total_energy_j"]) for entry in pinned.values()]
+    assert len(energies) == 10
+    assert f"`total_energy_j` reads {min(energies):.3f}–{max(energies):.3f} J" in " ".join(section.split())
 
 
 def test_delivery_accounting_conserves_packets(versus_random_hopper, versus_adaptive_hopper):

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hopwar import attacker as attacker_module
+from hopwar import defender as defender_module
+from hopwar import engine
 from hopwar.attacker import (
     ATTACKERS,
     BanditJammer,
@@ -12,11 +16,10 @@ from hopwar.attacker import (
     PhasedJammer,
     RandomJammer,
     ReactiveJammer,
-    make_attacker,
 )
 from hopwar.config import ConfigError, ScenarioConfig, validate
-from hopwar.defender import DEFENDERS, Defender, RandomDefender, SmartDefender
-from hopwar.engine import run_scenario
+from hopwar.defender import DEFENDERS, RandomDefender, SmartDefender
+from hopwar.engine import make_attacker, run_scenario
 
 
 def drive(attacker, victim_channel):
@@ -291,12 +294,19 @@ def test_factory_builds_every_strategy():
     # The key order is the order the pinned outputs list the pairings in.
     assert list(ATTACKERS) == list(attackers)
     assert list(DEFENDERS) == list(defenders)
+    # Both construction hooks live in the engine and take (config, rng), as
+    # every registry entry does.
+    for hook in (engine.Defender, engine.make_attacker):
+        assert list(inspect.signature(hook).parameters) == ["config", "rng"]
+    assert not hasattr(defender_module, "Defender") and not hasattr(attacker_module, "make_attacker")
     for attacker, jammer_cls in attackers.items():
         for defender, defender_cls in defenders.items():
             config = ScenarioConfig(attacker=attacker, defender=defender)
             validate(config)
-            assert isinstance(make_attacker(config, rng), jammer_cls)
-            assert isinstance(Defender(config), defender_cls)
+            assert isinstance(engine.make_attacker(config, rng), jammer_cls)
+            assert isinstance(engine.Defender(config, rng), defender_cls)
+            assert isinstance(ATTACKERS[attacker](config, rng), jammer_cls)
+            assert isinstance(DEFENDERS[defender](config, rng), defender_cls)
     # Validation accepts exactly the registry keys.
     for field, name in [("attacker", "Bandit"), ("attacker", "bandit "), ("defender", "smarter")]:
         with pytest.raises(ConfigError, match=f"{field} must be one of"):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hopwar import engine
 from hopwar.attacker import ATTACKERS
 from hopwar.config import ScenarioConfig
 from hopwar.defender import (
+    DEFENDERS,
     SMART_AVOID_RECENT,
     SMART_DECAY_TABLE_LEN,
     SMART_FAILURE_DECAY,
@@ -22,9 +24,9 @@ from hopwar.defender import (
 )
 
 
-def make(window=10, threshold=0.8, channels=12):
+def make(window=10, threshold=0.8, channels=12, seed=0):
     config = ScenarioConfig(num_channels=channels, detection_window_slots=window, detection_threshold=threshold)
-    return RandomDefender(config)
+    return RandomDefender(config, np.random.default_rng(seed))
 
 
 def detect(d):
@@ -149,111 +151,100 @@ def test_interleaved_failures_need_the_same_budget():
 
 
 def test_hop_random_avoids_the_sensed_channel():
-    d = make()
-    rng = np.random.default_rng(3)
+    d = make(seed=3)
     seen = set()
     for _ in range(300):
         detect(d)
-        seen.add(d.advance(rng, avoid=5))
+        seen.add(d.advance(avoid=5))
     assert 5 not in seen
     assert seen == {c for c in range(12) if c != 5}
     assert d.hops == 300
 
 
 def test_hop_random_without_avoid_covers_all_channels():
-    d = make()
-    rng = np.random.default_rng(4)
+    d = make(seed=4)
     seen = set()
     for _ in range(300):
         detect(d)
-        seen.add(d.advance(rng))
+        seen.add(d.advance())
     assert seen == set(range(12))
 
 
-def smart(window=192):
-    return SmartDefender(ScenarioConfig(detection_window_slots=window))
+def smart(window=192, seed=0):
+    return SmartDefender(ScenarioConfig(detection_window_slots=window), np.random.default_rng(seed))
 
 
-def slot(d, rng, delivered):
+def slot(d, delivered):
     """One defender slot: commit the channel, then record the outcome."""
-    ch = d.advance(rng)
+    ch = d.advance()
     d.record_and_detect(delivered)
     return ch
 
 
 def test_smart_flees_after_consecutive_failures():
-    d = smart()
-    rng = np.random.default_rng(0)
-    assert slot(d, rng, False) == 0
-    assert slot(d, rng, False) == 0
-    moved = d.advance(rng)
+    d = smart(seed=0)
+    assert slot(d, False) == 0
+    assert slot(d, False) == 0
+    moved = d.advance()
     assert moved != 0
     assert d.hops == 1
 
 
 def test_smart_tolerates_scattered_failures():
-    d = smart()
-    rng = np.random.default_rng(0)
+    d = smart(seed=0)
     for _ in range(20):
-        assert slot(d, rng, False) == 0
-        assert slot(d, rng, True) == 0
+        assert slot(d, False) == 0
+        assert slot(d, True) == 0
     assert d.hops == 0
 
 
 def test_smart_rehomes_on_the_timer_even_when_clean():
-    d = smart()
-    rng = np.random.default_rng(0)
-    homes = {slot(d, rng, True) for _ in range(SMART_REHOME_SLOTS - 1)}
+    d = smart(seed=0)
+    homes = {slot(d, True) for _ in range(SMART_REHOME_SLOTS - 1)}
     assert homes == {0}
-    assert d.advance(rng) != 0
+    assert d.advance() != 0
     assert d.hops == 1
 
 
 def test_smart_avoids_recently_left_homes():
-    d = smart()
-    rng = np.random.default_rng(2)
+    d = smart(seed=2)
     recent = [d.home]
     for _ in range(8):
-        slot(d, rng, False)
-        slot(d, rng, False)
-        new_home = d.advance(rng)
+        slot(d, False)
+        slot(d, False)
+        new_home = d.advance()
         assert new_home not in recent[-SMART_AVOID_RECENT:]
         recent.append(new_home)
         d.record_and_detect(False)  # keep the pressure on
 
 
 def test_smart_sounds_the_last_failed_channel_until_it_clears():
-    d = smart()
-    rng = np.random.default_rng(7)
+    d = smart(seed=7)
     # A failure away from home (as during a probe visit) marks that channel.
     d.channel = 5
-    d._probing = True
     d.record_and_detect(False)
     assert d.probe_target == 5
     d.channel = d.home
     # The policy occasionally visits channel 5, home otherwise. Keep the
     # stretch shorter than the re-home timer so the home stays put.
-    visits = [d.advance(rng) for _ in range(40)]
+    visits = [d.advance() for _ in range(40)]
     assert visits.count(5) > 0
     assert set(visits) <= {d.home, 5}
     # A clean probe visit clears the watch.
-    while d.advance(rng) != 5:
+    while d.advance() != 5:
         d.record_and_detect(True)
     d.record_and_detect(True)
     assert d.probe_target is None
-    assert all(d.advance(rng) == d.home for _ in range(50))
+    assert all(d.advance() == d.home for _ in range(50))
 
 
 def test_smart_probe_failures_do_not_build_the_flee_streak():
-    d = smart()
-    rng = np.random.default_rng(3)
+    d = smart(seed=3)
     d.channel = 9
-    d._probing = True
     for _ in range(6):
         d.record_and_detect(False)  # failed soundings of channel 9
-    d._probing = False
     d.channel = d.home
-    assert d.advance(rng) in (d.home, 9)
+    assert d.advance() in (d.home, 9)
     assert d.hops == 0
 
 
@@ -264,12 +255,11 @@ def test_smart_starves_a_camping_jammer():
     # below 2 / num_channels (occasional sounding visits keep it above
     # zero).
     jammed = 0
-    d = smart()
-    rng = np.random.default_rng(11)
+    d = smart(seed=11)
     slots = 17900
     visits = []
     for _ in range(slots):
-        ch = d.advance(rng)
+        ch = d.advance()
         visits.append(ch == jammed)
         d.record_and_detect(ch != jammed)
     tail = visits[-(slots // 4):]
@@ -280,12 +270,11 @@ def test_smart_starves_a_camping_jammer():
 def test_smart_detection_is_telemetry_not_a_hop_trigger():
     # Three failures in a window of 10 fire the detector, but with a
     # success between each the flee streak never reaches two.
-    d = smart(window=10)
-    rng = np.random.default_rng(0)
+    d = smart(window=10, seed=0)
     for delivered in (False, True, False, True, False):
-        slot(d, rng, delivered)
+        slot(d, delivered)
     assert d.detections == 1
-    assert d.advance(rng) == 0
+    assert d.advance() == 0
     assert d.hops == 0
 
 
@@ -294,12 +283,11 @@ def test_every_home_move_changes_channel(channels):
     # A failure every third slot never makes a flee streak, so the node
     # re-homes on its timer. With two or three channels, excluding the last
     # SMART_AVOID_RECENT homes would exclude every channel.
-    d = SmartDefender(ScenarioConfig(num_channels=channels))
-    rng = np.random.default_rng(0)
+    d = SmartDefender(ScenarioConfig(num_channels=channels), np.random.default_rng(0))
     moves = 0
     for t in range(20_000):
         home, hops = d.home, d.hops
-        d.advance(rng)
+        d.advance()
         if d.hops > hops:
             moves += 1
             assert d.home != home
@@ -318,8 +306,8 @@ class EagerCheckedSmartDefender(SmartDefender):
 
     moves = 0
 
-    def __init__(self, config) -> None:
-        super().__init__(config)
+    def __init__(self, config, rng) -> None:
+        super().__init__(config, rng)
         self.eager_succ = [0.0] * self.num_channels
         self.eager_fail = [0.0] * self.num_channels
         self.homes_left: list[int] = []
@@ -376,8 +364,7 @@ def test_a_tally_read_at_any_age_decays_by_the_power(age):
 def test_probe_coins_drawn_in_blocks_decide_as_scalar_draws_do():
     # Replays the policy's branch order, drawing one scalar coin from an
     # identically seeded generator wherever the policy may sound a channel.
-    d = smart()
-    rng = np.random.default_rng(5)
+    d = smart(seed=5)
     scalar = np.random.default_rng(5)
     outcomes = random.Random(5)
     coins = probes = 0
@@ -391,8 +378,8 @@ def test_probe_coins_drawn_in_blocks_decide_as_scalar_draws_do():
         target = d.probe_target
         expected = may_probe and scalar.random() < SMART_PROBE_PROB
         coins += may_probe
-        ch = d.advance(rng)
-        assert d._probing == expected
+        ch = d.advance()
+        assert (ch != d.home) == expected
         if expected:
             assert ch == target
             probes += 1
@@ -404,15 +391,50 @@ def test_probe_coins_drawn_in_blocks_decide_as_scalar_draws_do():
 
 def test_execute_hop_clears_pending_and_counts():
     d = make(window=4)
-    rng = np.random.default_rng(0)
-    assert d.advance(rng) == 0  # no detection, no hop
+    assert d.advance() == 0  # no detection, no hop
     for _ in range(4):
         d.record_and_detect(False)
     assert d.hop_pending
-    assert d.advance(rng, avoid=0) != 0
+    assert d.advance(avoid=0) != 0
     assert not d.hop_pending
     assert d.hops == 1
     # Four detections before the hop still make one hop.
-    assert d.advance(rng) == d.channel
+    assert d.advance() == d.channel
     assert d.hops == 1
 
+
+class CountingGenerator:
+    """A seeded generator that counts the calls made on it, by method name."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("policy", list(DEFENDERS))
+def test_a_defender_draws_only_from_its_own_generator(policy):
+    # Built the way the engine builds it, the defender gets no other
+    # generator: its random hops and its probe coins are calls on this one.
+    rng = CountingGenerator(9)
+    d = engine.Defender(ScenarioConfig(defender=policy, detection_window_slots=10), rng)
+    outcomes = random.Random(9)
+    probes = 0
+    for _ in range(5_000):
+        ch = d.advance(avoid=3)
+        probes += policy == "smart" and ch != d.home
+        d.record_and_detect(outcomes.random() >= (0.5 if ch < 4 else 0.2))
+    if policy == "random":
+        assert d.hops > 100
+        assert set(rng.calls) == {"integers"} and rng.calls["integers"] >= d.hops
+    else:
+        assert probes > 20
+        assert set(rng.calls) == {"random"} and rng.calls["random"] > 5

@@ -1,6 +1,8 @@
 import csv
 import io
 import os
+import subprocess
+import sys
 from collections import Counter
 from typing import NamedTuple
 
@@ -9,15 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopwar import cli, engine
-from hopwar.attacker import ATTACKERS, make_attacker
-from hopwar.config import ScenarioConfig, validate
-from hopwar.defender import DEFENDERS, Defender
+from hopwar.attacker import ATTACKERS
+from hopwar.config import ConfigError, ScenarioConfig, validate
+from hopwar.defender import DEFENDERS
 from hopwar.engine import (
     SUMMARY_HEADER,
     TIMESERIES_HEADER,
+    Defender,
     component_rng,
     emit_summary,
     emit_timeseries,
+    make_attacker,
     run_batch,
     run_scenario,
 )
@@ -131,6 +135,32 @@ def test_trace_first_row_before_attack():
     m = run_scenario(cfg, collect_trace=True)
     t_s, pdr, tx, jam, outcome = m.trace[0]
     assert (t_s, pdr, tx, jam, outcome) == (1.0, 1.0, 0, None, "delivered")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"loss_prob": 1.5}, {"detection_window_slots": 0}, {"attacker": "nuke"}],
+    ids=["loss_prob", "detection_window_slots", "attacker"],
+)
+def test_a_run_takes_only_a_valid_config(bad):
+    # Unvalidated, these gave a PDR of 0.0, an IndexError and a KeyError.
+    with pytest.raises(ConfigError):
+        run_scenario(short_config(**bad))
+
+
+def test_a_one_channel_run_is_refused_not_hung():
+    # Unvalidated, a random hopper with one channel loops forever looking
+    # for a channel other than the jammed one. A subprocess with a timeout
+    # turns a regression into a failure instead of a stalled suite.
+    code = (
+        "import pytest\n"
+        "from hopwar.config import ConfigError, ScenarioConfig\n"
+        "from hopwar.engine import run_scenario\n"
+        "with pytest.raises(ConfigError):\n"
+        "    run_scenario(ScenarioConfig(num_channels=1, attacker='oracle'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_smart_defender_moves_under_fire():
@@ -346,7 +376,7 @@ def reference_run(config, seed):
     def_rng = component_rng(seed, 0)
     att_rng = component_rng(seed, 1)
     phy_rng = component_rng(seed, 2)
-    defender = Defender(config)
+    defender = Defender(config, def_rng)
     attacker = make_attacker(config, att_rng)
     queue = RetryQueue()
     stride = max(1, int(round(1.0 / config.slot_s)))
@@ -356,7 +386,7 @@ def reference_run(config, seed):
     trace = []
     for slot in range(config.num_slots):
         if slot >= config.hop_enable_slot:
-            defender.advance(def_rng, avoid=last_jam)
+            defender.advance(avoid=last_jam)
         tx = defender.channel
         if slot >= config.attack_start_slot:
             emit = attacker.step(tx)
@@ -472,7 +502,6 @@ def test_segment_stepped_loop_matches_the_per_slot_loop(attacker, defender, scen
 @example(scenario={"sim_duration_s": 120.0, "loss_prob": 0.1, "seed": 1})
 def test_accounting_identities_hold_for_every_config(attacker, defender, scenario):
     config = ScenarioConfig(attacker=attacker, defender=defender, **scenario)
-    validate(config)
     m = run_scenario(config)
     assert m.delivered + m.jammed <= m.transmitted
     assert m.recovered <= m.retransmissions
@@ -485,7 +514,6 @@ def test_accounting_identities_hold_for_every_config(attacker, defender, scenari
 @given(scenario=short_scenarios())
 def test_a_run_is_a_pure_function_of_its_config_and_seed(attacker, defender, scenario):
     config = ScenarioConfig(attacker=attacker, defender=defender, **scenario)
-    validate(config)
     first = run_scenario(config, collect_trace=True)
     again = run_scenario(config, collect_trace=True)
     assert first.as_row() == again.as_row()
@@ -498,7 +526,6 @@ def test_a_run_is_a_pure_function_of_its_config_and_seed(attacker, defender, sce
 @given(scenario=short_scenarios(), runs=st.integers(2, 4))
 def test_run_batch_gives_the_same_runs_on_one_and_two_cores(attacker, defender, scenario, runs):
     config = ScenarioConfig(attacker=attacker, defender=defender, runs=runs, **scenario)
-    validate(config)
     batches = []
     for cores in (1, 2):
         with pytest.MonkeyPatch.context() as patch:
@@ -538,8 +565,8 @@ def test_every_name_the_benchmark_tracer_wraps_is_called(monkeypatch, tmp_path):
             wrap_methods(sampler, "bandit", ("select_arm", "update"))
         return attacker
 
-    def defender(config):
-        made = build_defender(config)
+    def defender(config, rng):
+        made = build_defender(config, rng)
         wrap_methods(made, f"defender.{config.defender}", ("advance", "record_and_detect"))
         return made
 

@@ -63,8 +63,8 @@ def render() -> str:
     return json.dumps(pinned, indent=1) + "\n"
 
 
-def test_outputs_match_the_pinned_file_byte_for_byte():
-    assert render().encode() == GOLDEN.read_bytes()
+def test_outputs_match_the_pinned_file_byte_for_byte(pin_note):
+    assert render().encode() == GOLDEN.read_bytes(), pin_note
 
 
 if __name__ == "__main__":
