@@ -5,6 +5,9 @@ see the victim's channel directly; they only learn through their own
 sensing. The one exception is the oracle, which models the strongest
 possible adversary and reads the victim's channel each slot with no lag;
 only its burst/cooldown duty cycle keeps it off the victim.
+
+A strategy is added as one class built as ``Cls(config, rng)``, which reads
+its own knobs from the config, plus one ``ATTACKERS`` line.
 """
 
 from __future__ import annotations
@@ -31,8 +34,10 @@ _RANDOM_BLOCK = 4096
 class Jammer:
     """The two-phase slot protocol every attacker plays; this base stays silent.
 
-    The engine builds each strategy from ``(config, rng)`` through its
-    ``ATTACKERS`` entry; ``rng`` is the attacker's own generator. Each slot,
+    Each strategy is its own ``ATTACKERS`` entry, a subclass built once per
+    run as ``Cls(config, rng)``: ``config`` is the run's ``ScenarioConfig``,
+    whose knobs it reads in ``__init__``, and ``rng`` is the attacker's own
+    generator, the only one it may draw from. Each slot,
     ``step(victim_channel)`` commits the slot's action: the channel to emit
     on, or None to stay silent. ``sensing_channel`` names the channel the
     jammer listens on in that slot, or None when it senses nothing; a
@@ -43,8 +48,8 @@ class Jammer:
     transmission. Sensing needs no acknowledgment traffic: energy on the
     channel is enough, so a successful jam still reads as a hit.
 
-    The base emits nothing and senses nothing, which makes it the engine's
-    stand-in before the attack starts.
+    The base takes no arguments, emits nothing and senses nothing, which
+    makes it the engine's stand-in before the attack starts.
     """
 
     def __init__(self) -> None:
@@ -62,9 +67,9 @@ class Jammer:
 class RandomJammer(Jammer):
     """Jams a uniformly random channel every slot. No sensing, no memory."""
 
-    def __init__(self, num_channels: int, rng: np.random.Generator) -> None:
+    def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()
-        self.num_channels = num_channels
+        self.num_channels = config.num_channels
         self._rng = rng
         # Unspent channels of the current block, last-first, spent with pop().
         self._block: list[int] = []
@@ -80,25 +85,26 @@ class ReactiveJammer(Jammer):
     """Camps on a channel while it carries traffic, scans when it goes quiet.
 
     While attacking, the jammer keeps emitting on its channel and counts
-    consecutive slots without sensed activity; after ``idle_trigger`` of
-    them it concludes the victim left and starts a silent round-robin scan,
-    dwelling ``dwell`` slots per channel. The first busy slot it hears ends
-    the scan and the jammer camps there from the next slot on.
+    consecutive slots without sensed activity; after ``idle_trigger``
+    (``idle_trigger_slots``) of them it concludes the victim left and starts
+    a silent round-robin scan, dwelling ``dwell`` (``reactive_dwell_slots``)
+    slots per channel. The first busy slot it hears ends the scan and the
+    jammer camps there from the next slot on.
 
     It always senses the channel it camps on or scans, ``sensing_channel``,
     which starts at 0 and changes only when the scan moves on.
     """
 
-    def __init__(self, num_channels: int, idle_trigger: int, dwell: int) -> None:
+    def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()
-        self.num_channels = num_channels
-        self.idle_trigger = idle_trigger
-        self.dwell = dwell
+        self.num_channels = config.num_channels
+        self.idle_trigger = config.idle_trigger_slots
+        self.dwell = config.reactive_dwell_slots
         self.attacking = True
         self.sensing_channel = 0
         # Quiet slots left before the jammer moves on: counted from
         # ``idle_trigger`` while it camps, from ``dwell`` while it scans.
-        self._countdown = idle_trigger
+        self._countdown = self.idle_trigger
 
     def step(self, victim_channel: int) -> int | None:
         return self.sensing_channel if self.attacking else None
@@ -126,9 +132,9 @@ class BanditJammer(Jammer):
     thresholds.
     """
 
-    def __init__(self, num_channels: int, rng: np.random.Generator) -> None:
+    def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()
-        self.sampler = ThompsonSampler(num_channels, BANDIT_WINDOW_PLAYS)
+        self.sampler = ThompsonSampler(config.num_channels, BANDIT_WINDOW_PLAYS)
         self._rng = rng
 
     def step(self, victim_channel: int) -> int | None:
@@ -143,13 +149,14 @@ class PhasedJammer(Jammer):
     """Learns an occupancy map in a listening phase, then jams and tracks.
 
     The listening phase sweeps the channels round-robin for ``listen_len``
-    slots, counting sensed activity. The attacking phase jams the channel
-    with the highest count, adjusting the map online: a hit reinforces the
-    channel, a miss bleeds it. When the whole map drains to zero the jammer
-    probes channels round-robin until something answers. A success estimate
-    over the last ``eval_len`` attacking slots guards the whole thing: if it
-    falls below ``retrain_trigger`` the map is considered stale and the
-    jammer goes back to listening from scratch.
+    (``listen_len_slots``) slots, counting sensed activity. The attacking
+    phase jams the channel with the highest count, adjusting the map online:
+    a hit reinforces the channel, a miss bleeds it. When the whole map drains
+    to zero the jammer probes channels round-robin until something answers.
+    A success estimate over the last ``eval_len`` (``eval_len_slots``)
+    attacking slots guards the whole thing: if it falls below
+    ``retrain_trigger`` the map is considered stale and the jammer goes back
+    to listening from scratch.
 
     An attacking slot does constant work: the jammer tracks ``_best``, the
     first maximum of ``counts``, instead of scanning the map each slot. A
@@ -163,12 +170,11 @@ class PhasedJammer(Jammer):
     included.
     """
 
-    def __init__(self, num_channels: int, listen_len: int, eval_len: int, retrain_trigger: float) -> None:
+    def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()
-        self.num_channels = num_channels
-        self.listen_len = listen_len
-        self.eval_len = eval_len
-        self.retrain_trigger = retrain_trigger
+        num_channels = self.num_channels = config.num_channels
+        listen_len = self.listen_len = config.listen_len_slots
+        eval_len = self.eval_len = config.eval_len_slots
         self.listening = True
         self.counts = [0.0] * num_channels
         self.retrains = 0
@@ -178,7 +184,7 @@ class PhasedJammer(Jammer):
         self._est: deque[int] = deque(maxlen=eval_len)
         self._est_sum = 0
         # Retrain when the hits in a full estimate window fall below this.
-        self._retrain_below = retrain_trigger * eval_len
+        self._retrain_below = config.retrain_trigger * eval_len
         # The tracked first maximum of counts (-1: re-rank) and its bounds.
         self._best = -1
         self._below = self._above = -1.0
@@ -254,20 +260,17 @@ class OracleJammer(Jammer):
     Models the strongest adversary worth simulating: while attacking it is
     on the victim's channel every single slot, no matter how the victim
     moves. What keeps it from erasing the link entirely is its duty cycle:
-    after ``burst_slots`` consecutive jams it goes dark for
-    ``cooldown_slots`` before striking again. With ``cooldown_slots=0`` it
-    never lets go.
+    after ``burst_slots`` (``oracle_burst_slots``) consecutive jams it goes
+    dark for ``oracle_cooldown_slots`` before striking again. With no
+    cooldown it never lets go.
     """
 
-    def __init__(self, burst_slots: int, cooldown_slots: int) -> None:
-        if burst_slots <= 0:
-            raise ValueError("burst_slots must be positive")
+    def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()
-        self.burst_slots = burst_slots
-        self.cooldown_slots = cooldown_slots
+        self.burst_slots = config.oracle_burst_slots
         # Slot k of the run sits at position k % (burst + cooldown) of the
         # duty cycle; the burst comes first.
-        self._cycle = burst_slots + cooldown_slots
+        self._cycle = self.burst_slots + config.oracle_cooldown_slots
         self._position = 0
 
     def step(self, victim_channel: int) -> int | None:
@@ -276,16 +279,13 @@ class OracleJammer(Jammer):
         return victim_channel if position < self.burst_slots else None
 
 
-# Name -> constructor from (config, attacker rng): the one place to add an
-# attacker. tests/test_golden.py walks the keys in order, so the order is pinned.
+# Name -> strategy class, built as Cls(config, attacker rng): the one place to
+# add an attacker. tests/test_golden.py walks the keys in order, so the order
+# is pinned.
 ATTACKERS = {
-    "random": lambda config, rng: RandomJammer(config.num_channels, rng),
-    "reactive": lambda config, rng: ReactiveJammer(
-        config.num_channels, config.idle_trigger_slots, config.reactive_dwell_slots
-    ),
-    "bandit": lambda config, rng: BanditJammer(config.num_channels, rng),
-    "phased": lambda config, rng: PhasedJammer(
-        config.num_channels, config.listen_len_slots, config.eval_len_slots, config.retrain_trigger
-    ),
-    "oracle": lambda config, rng: OracleJammer(config.oracle_burst_slots, config.oracle_cooldown_slots),
+    "random": RandomJammer,
+    "reactive": ReactiveJammer,
+    "bandit": BanditJammer,
+    "phased": PhasedJammer,
+    "oracle": OracleJammer,
 }

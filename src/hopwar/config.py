@@ -136,7 +136,17 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ScenarioConf
     return config
 
 
+def _fits(value, kind: type) -> bool:
+    """Whether ``value`` fits a field of type ``kind``: an int fits int and float fields, a bool none."""
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+
+
 def validate(config: ScenarioConfig) -> None:
+    # A value of another type would fail a check below with a TypeError, or
+    # pass them all and run as something else (a bool or 192.0 as a count).
+    mistyped = [key for key, kind in _FIELD_TYPES.items() if not _fits(getattr(config, key), kind)]
+    if mistyped:
+        raise ConfigError("; ".join(f"{key} must be {_FIELD_TYPES[key].__name__}" for key in mistyped))
     # NaN passes every range check below and inf overflows the slot counts,
     # so non-finite values are rejected before anything else looks at them.
     non_finite = [

@@ -268,6 +268,7 @@ class SmartDefender(BaseDefender):
         return detected
 
 
-# Name -> constructor from (config, defender rng): the one place to add a hop
-# policy. tests/test_golden.py walks the keys in order, so the order is pinned.
+# Name -> policy class, built as Cls(config, defender rng): the one place to
+# add a hop policy. tests/test_golden.py walks the keys in order, so the order
+# is pinned.
 DEFENDERS = {"random": RandomDefender, "smart": SmartDefender}

@@ -8,6 +8,10 @@ Every test starts on the process's own core mask. ``run_batch`` restores the
 mask it read, and a test that fakes ``os.sched_getaffinity`` makes that a
 fake one, which on a host with more cores would narrow the tests after it.
 
+``counting_rng`` is a seeded generator that counts the calls made on it, so
+a test can check that a strategy draws only from the generator it was built
+with.
+
 ``pin_note`` is the message of a golden-file mismatch: it names the numpy
 that is running and the one the CI workflow installs, under which the pins
 were made.
@@ -15,6 +19,7 @@ were made.
 
 import os
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +38,28 @@ def own_core_mask():
     mask = os.sched_getaffinity(0)
     yield
     os.sched_setaffinity(0, mask)
+
+
+class CountingGenerator:
+    """A seeded generator that counts the calls made on it, by method name."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.fixture
+def counting_rng():
+    return CountingGenerator(9)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import inspect
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,13 @@ from hopwar.defender import DEFENDERS, RandomDefender, SmartDefender
 from hopwar.engine import make_attacker, run_scenario
 
 
+def build(cls, seed=0, **knobs):
+    """Build ``cls`` as the engine does: from a valid config with ``knobs`` and a seeded generator."""
+    config = ScenarioConfig(**knobs)
+    validate(config)
+    return cls(config, np.random.default_rng(seed))
+
+
 def drive(attacker, victim_channel):
     """Run one slot of the attacker protocol against a parked victim."""
     emit = attacker.step(victim_channel)
@@ -31,16 +39,15 @@ def drive(attacker, victim_channel):
 
 
 def test_random_jammer_covers_all_channels_uniformly_enough():
-    rng = np.random.default_rng(0)
-    j = RandomJammer(12, rng)
+    j = build(RandomJammer)
     hits = [drive(j, 5) for _ in range(6000)]
     assert set(hits) == set(range(12))
     assert all(380 < hits.count(c) < 620 for c in range(12))
 
 
 def test_random_jammer_is_deterministic_per_seed():
-    a = RandomJammer(12, np.random.default_rng(9))
-    b = RandomJammer(12, np.random.default_rng(9))
+    a = build(RandomJammer, seed=9)
+    b = build(RandomJammer, seed=9)
     assert [a.step(0) for _ in range(100)] == [b.step(0) for _ in range(100)]
 
 
@@ -52,7 +59,7 @@ REACTIVE_KNOBS = [(1, 1), (1, 3), (4, 1), (10, 1), (10, 3), (58, 64)]
 
 def test_reactive_camps_while_traffic_lasts():
     for idle_trigger, dwell in REACTIVE_KNOBS:
-        j = ReactiveJammer(12, idle_trigger, dwell)
+        j = build(ReactiveJammer, idle_trigger_slots=idle_trigger, reactive_dwell_slots=dwell)
         for _ in range(50):
             assert drive(j, 0) == 0
         assert j.attacking
@@ -60,7 +67,7 @@ def test_reactive_camps_while_traffic_lasts():
 
 def test_reactive_scans_after_idle_trigger_silent_slots():
     for idle_trigger, dwell in REACTIVE_KNOBS:
-        j = ReactiveJammer(12, idle_trigger, dwell)
+        j = build(ReactiveJammer, idle_trigger_slots=idle_trigger, reactive_dwell_slots=dwell)
         drive(j, 0)
         # Victim moves to channel 7; the jammer needs idle_trigger silent
         # slots to notice, and keeps jamming channel 0 until then.
@@ -73,7 +80,7 @@ def test_reactive_scans_after_idle_trigger_silent_slots():
 
 def test_reactive_scan_finds_the_victim_and_resumes_next_slot():
     for idle_trigger, dwell in REACTIVE_KNOBS:
-        j = ReactiveJammer(12, idle_trigger, dwell)
+        j = build(ReactiveJammer, idle_trigger_slots=idle_trigger, reactive_dwell_slots=dwell)
         drive(j, 0)
         for _ in range(idle_trigger):
             drive(j, 7)
@@ -89,7 +96,7 @@ def test_reactive_scan_finds_the_victim_and_resumes_next_slot():
 
 
 def test_reactive_dwell_stretches_the_scan():
-    j = ReactiveJammer(12, idle_trigger=10, dwell=3)
+    j = build(ReactiveJammer, idle_trigger_slots=10, reactive_dwell_slots=3)
     drive(j, 0)
     for _ in range(10):
         drive(j, 6)
@@ -103,8 +110,7 @@ def test_reactive_dwell_stretches_the_scan():
 
 
 def test_bandit_updates_previous_arm_then_selects():
-    rng = np.random.default_rng(1)
-    j = BanditJammer(12, rng)
+    j = build(BanditJammer, seed=1)
     arm = j.step(3)
     assert j.sampler.arms[arm] == (1.0, 1.0)
     j.observe(arm == 3)
@@ -112,14 +118,13 @@ def test_bandit_updates_previous_arm_then_selects():
 
 
 def test_bandit_locks_onto_a_parked_victim():
-    rng = np.random.default_rng(5)
-    j = BanditJammer(12, rng)
+    j = build(BanditJammer, seed=5)
     hits = [drive(j, 4) for _ in range(400)]
     assert hits[-100:].count(4) >= 90
 
 
 def test_phased_listens_first_and_maps_the_victim():
-    j = PhasedJammer(12, listen_len=60, eval_len=50, retrain_trigger=0.05)
+    j = build(PhasedJammer, listen_len_slots=60, eval_len_slots=50, retrain_trigger=0.05)
     for _ in range(60):
         assert j.step(8) is None
         j.observe(j.sensing_channel == 8)
@@ -129,7 +134,7 @@ def test_phased_listens_first_and_maps_the_victim():
 
 
 def test_phased_tracks_online_and_probes_when_the_map_drains():
-    j = PhasedJammer(12, listen_len=24, eval_len=400, retrain_trigger=0.05)
+    j = build(PhasedJammer, listen_len_slots=24, eval_len_slots=400, retrain_trigger=0.05)
     for _ in range(24):
         drive(j, 2)
     assert j.counts[2] == 2.0
@@ -144,7 +149,7 @@ def test_phased_tracks_online_and_probes_when_the_map_drains():
 
 
 def test_phased_retrains_when_the_estimate_collapses():
-    j = PhasedJammer(12, listen_len=12, eval_len=30, retrain_trigger=0.5)
+    j = build(PhasedJammer, listen_len_slots=12, eval_len_slots=30, retrain_trigger=0.5)
     for _ in range(12):
         drive(j, 0)
     assert not j.listening
@@ -203,8 +208,11 @@ SENSED_RUNS = st.lists(st.tuples(st.booleans(), st.integers(1, 40)), max_size=30
     runs=[(True, 1), (False, 3), (False, 5), (False, 2), (True, 1), (False, 1), (True, 3)],
 )
 def test_phased_tracked_best_matches_a_full_scan_every_slot(num_channels, listen_len, eval_len, retrain_trigger, runs):
-    tracked = PhasedJammer(num_channels, listen_len, eval_len, retrain_trigger)
-    plain = PlainScanPhasedJammer(num_channels, listen_len, eval_len, retrain_trigger)
+    knobs = dict(
+        num_channels=num_channels, listen_len_slots=listen_len, eval_len_slots=eval_len, retrain_trigger=retrain_trigger
+    )
+    tracked = build(PhasedJammer, **knobs)
+    plain = build(PlainScanPhasedJammer, **knobs)
     for busy in [busy for busy, slots in runs for _ in range(slots)]:
         assert tracked.step(0) == plain.step(0)
         assert tracked.sensing_channel == plain.sensing_channel
@@ -229,7 +237,7 @@ def counting_ranks(monkeypatch):
 
 def test_phased_probes_a_drained_map_without_rescanning(monkeypatch):
     scans = counting_ranks(monkeypatch)
-    j = PhasedJammer(4, listen_len=4, eval_len=400, retrain_trigger=0.0)
+    j = build(PhasedJammer, num_channels=4, listen_len_slots=4, eval_len_slots=400, retrain_trigger=0.0)
     for _ in range(4):
         drive(j, 0)
     # Channel 0 bleeds from 1.0 to zero; a victim on no channel answers no probe.
@@ -258,7 +266,7 @@ def test_phased_rescans_in_under_5_percent_of_its_attacking_slots(monkeypatch):
 
 
 def test_oracle_follows_every_victim_move_while_attacking():
-    j = OracleJammer(burst_slots=10, cooldown_slots=0)
+    j = build(OracleJammer, oracle_burst_slots=10, oracle_cooldown_slots=0)
     assert j.step(3) == 3
     assert j.step(3) == 3
     assert j.step(10) == 10
@@ -269,16 +277,11 @@ def test_oracle_follows_every_victim_move_while_attacking():
 def test_oracle_duty_cycle_alternates_burst_and_silence(burst, cooldown, victim):
     # Slot k jams the victim's channel, wherever it went, iff it falls in
     # the burst part of the k-th duty cycle; three cycles and a slot are run.
-    j = OracleJammer(burst_slots=burst, cooldown_slots=cooldown)
+    j = build(OracleJammer, oracle_burst_slots=burst, oracle_cooldown_slots=cooldown)
     cycle = burst + cooldown
     for k in range(3 * cycle + 1):
         channel = victim[k % len(victim)]
         assert j.step(channel) == (channel if k % cycle < burst else None)
-
-
-def test_oracle_rejects_empty_burst():
-    with pytest.raises(ValueError):
-        OracleJammer(burst_slots=0, cooldown_slots=5)
 
 
 def test_factory_builds_every_strategy():
@@ -294,8 +297,12 @@ def test_factory_builds_every_strategy():
     # The key order is the order the pinned outputs list the pairings in.
     assert list(ATTACKERS) == list(attackers)
     assert list(DEFENDERS) == list(defenders)
-    # Both construction hooks live in the engine and take (config, rng), as
-    # every registry entry does.
+    # Each registry entry is the strategy class itself, built as Cls(config, rng).
+    for registry, classes in ((ATTACKERS, attackers), (DEFENDERS, defenders)):
+        for name, cls in classes.items():
+            assert registry[name] is cls
+            assert list(inspect.signature(cls).parameters) == ["config", "rng"]
+    # Both construction hooks live in the engine and take (config, rng) too.
     for hook in (engine.Defender, engine.make_attacker):
         assert list(inspect.signature(hook).parameters) == ["config", "rng"]
     assert not hasattr(defender_module, "Defender") and not hasattr(attacker_module, "make_attacker")
@@ -305,8 +312,6 @@ def test_factory_builds_every_strategy():
             validate(config)
             assert isinstance(engine.make_attacker(config, rng), jammer_cls)
             assert isinstance(engine.Defender(config, rng), defender_cls)
-            assert isinstance(ATTACKERS[attacker](config, rng), jammer_cls)
-            assert isinstance(DEFENDERS[defender](config, rng), defender_cls)
     # Validation accepts exactly the registry keys.
     for field, name in [("attacker", "Bandit"), ("attacker", "bandit "), ("defender", "smarter")]:
         with pytest.raises(ConfigError, match=f"{field} must be one of"):
@@ -325,10 +330,35 @@ def test_factory_reads_the_attacker_knobs_from_the_config():
         oracle_burst_slots=17,
         oracle_cooldown_slots=19,
     )
+    random_jammer = make_attacker(replace(config, attacker="random"), rng)
+    assert {random_jammer.step(0) for _ in range(1000)} == set(range(7))
     reactive = make_attacker(replace(config, attacker="reactive"), rng)
     assert (reactive.num_channels, reactive.idle_trigger, reactive.dwell) == (7, 3, 5)
     phased = make_attacker(replace(config, attacker="phased"), rng)
-    assert (phased.num_channels, phased.listen_len, phased.eval_len, phased.retrain_trigger) == (7, 11, 13, 0.25)
-    oracle = make_attacker(replace(config, attacker="oracle"), rng)
-    assert (oracle.burst_slots, oracle.cooldown_slots) == (17, 19)
+    assert (phased.num_channels, phased.listen_len, phased.eval_len, phased._retrain_below) == (7, 11, 13, 0.25 * 13)
     assert make_attacker(replace(config, attacker="bandit"), rng).sampler.num_arms == 7
+    # The oracle jams 17 slots, then stays dark for 19, cycle after cycle.
+    oracle = make_attacker(replace(config, attacker="oracle"), rng)
+    assert [oracle.step(4) for _ in range(72)] == ([4] * 17 + [None] * 19) * 2
+
+
+# The generator calls each jammer makes: the random jammer draws its channels
+# in blocks and the bandit its posterior samples; the rest never draw.
+JAMMER_DRAWS = {"random": "integers", "reactive": None, "bandit": "beta", "phased": None, "oracle": None}
+
+
+@pytest.mark.parametrize("name", list(ATTACKERS))
+def test_a_jammer_draws_only_from_its_own_generator(name, counting_rng):
+    # Built the way the engine builds it, the jammer gets no other generator:
+    # neither numpy's nor Python's global random state moves while it plays.
+    numpy_state, python_state = np.random.get_state(), random.getstate()
+    j = make_attacker(ScenarioConfig(attacker=name), counting_rng)
+    emitted = [drive(j, 4) for _ in range(5_000)]
+    assert 4 in emitted
+    draws = JAMMER_DRAWS[name]
+    if draws is None:
+        assert not counting_rng.calls
+    else:
+        assert set(counting_rng.calls) == {draws} and counting_rng.calls[draws] > 0
+    assert random.getstate() == python_state
+    assert all(np.array_equal(a, b) for a, b in zip(np.random.get_state(), numpy_state))

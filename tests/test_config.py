@@ -143,12 +143,26 @@ def test_load_config_validates(tmp_path):
         ("t_rx_ack_s", 0.1),
         ("sim_duration_s", 1e12),
         ("sim_duration_s", (MAX_SLOTS + 1) * 0.1),
+        # Int fields take ints but not bools, float fields ints or floats,
+        # and str fields strs; these raised a TypeError or ran silently.
+        ("num_channels", 12.0),
+        ("runs", "3"),
+        ("seed", 1.5),
+        ("seed", True),
+        ("detection_window_slots", 192.0),
+        ("slot_s", "0.1"),
+        ("loss_prob", False),
+        ("attacker", 3),
     ],
 )
 def test_validation_rejects(field, value):
     cfg = ScenarioConfig(**{field: value})
     with pytest.raises(ConfigError):
         validate(cfg)
+
+
+def test_validation_accepts_an_int_in_a_float_field():
+    validate(ScenarioConfig(sim_duration_s=60, slot_s=1, t_tx_data_s=0, t_rx_ack_s=0, loss_prob=0))
 
 
 def test_validation_accepts_the_upper_limits():

@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -403,28 +402,11 @@ def test_execute_hop_clears_pending_and_counts():
     assert d.hops == 1
 
 
-class CountingGenerator:
-    """A seeded generator that counts the calls made on it, by method name."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.calls = Counter()
-
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def counted(*args, **kwargs):
-            self.calls[name] += 1
-            return method(*args, **kwargs)
-
-        return counted
-
-
 @pytest.mark.parametrize("policy", list(DEFENDERS))
-def test_a_defender_draws_only_from_its_own_generator(policy):
+def test_a_defender_draws_only_from_its_own_generator(policy, counting_rng):
     # Built the way the engine builds it, the defender gets no other
     # generator: its random hops and its probe coins are calls on this one.
-    rng = CountingGenerator(9)
+    rng = counting_rng
     d = engine.Defender(ScenarioConfig(defender=policy, detection_window_slots=10), rng)
     outcomes = random.Random(9)
     probes = 0

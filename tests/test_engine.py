@@ -139,13 +139,22 @@ def test_trace_first_row_before_attack():
 
 @pytest.mark.parametrize(
     "bad",
-    [{"loss_prob": 1.5}, {"detection_window_slots": 0}, {"attacker": "nuke"}],
-    ids=["loss_prob", "detection_window_slots", "attacker"],
+    [{"loss_prob": 1.5}, {"detection_window_slots": 0}, {"attacker": "nuke"}, {"num_channels": 12.0}, {"runs": "3"}],
+    ids=["loss_prob", "detection_window_slots", "attacker", "num_channels-float", "runs-str"],
 )
 def test_a_run_takes_only_a_valid_config(bad):
-    # Unvalidated, these gave a PDR of 0.0, an IndexError and a KeyError.
+    # Unvalidated, these gave a PDR of 0.0, an IndexError, a KeyError and two
+    # TypeErrors.
     with pytest.raises(ConfigError):
         run_scenario(short_config(**bad))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+def test_a_run_takes_only_a_non_negative_int_seed(seed):
+    # Unchecked, -1 raised numpy's ValueError, 1.5 and "7" a TypeError, and
+    # True ran as seed 1.
+    with pytest.raises(ConfigError, match="seed must be a non-negative int"):
+        run_scenario(short_config(), seed=seed)
 
 
 def test_a_one_channel_run_is_refused_not_hung():
