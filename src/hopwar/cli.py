@@ -76,19 +76,23 @@ def main(argv: list[str] | None = None) -> int:
         print(f"hopwar: config error: {exc}", file=sys.stderr)
         return 1
 
-    batch = run_batch(config, collect_trace=args.timeseries)
+    out_dir = Path(args.out_dir)
+
+    # Called in whichever process simulated the run, as soon as it ends; the
+    # trace is dropped once written, so only counters are kept or piped back.
+    def write_trace(run):
+        emit_timeseries(run, out_dir / f"run_{run.seed}.csv")
+        run.trace = None
+        return run
 
     try:
-        out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        summary_path = emit_summary(batch, out_dir / "summary.csv")
-        written = [summary_path]
-        if args.timeseries:
-            for run_metrics in batch.runs:
-                written.append(emit_timeseries(run_metrics, out_dir / f"run_{run_metrics.seed}.csv"))
+        batch = run_batch(config, write_trace if args.timeseries else None)
+        written = [emit_summary(batch, out_dir / "summary.csv")]
     except OSError as exc:
         print(f"hopwar: cannot write results: {exc}", file=sys.stderr)
         return 2
+    written += [out_dir / f"run_{run.seed}.csv" for run in batch.runs if args.timeseries]
 
     print(
         f"{config.attacker} vs {config.defender}: runs={len(batch.runs)} "

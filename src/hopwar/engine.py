@@ -19,7 +19,6 @@ runs come back in seed order, the same bytes whatever the core count.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import os
 import pickle
@@ -207,7 +206,7 @@ class BatchResult:
         return statistics.fmean(r.extra_energy_j for r in self.runs)
 
 
-def run_batch(config: ScenarioConfig, collect_trace: bool = False) -> BatchResult:
+def run_batch(config: ScenarioConfig, finish=None) -> BatchResult:
     """Run ``config.runs`` seeds (config.seed, config.seed+1, ...), in seed order.
 
     The seeds are dealt round-robin over ``min(runs, usable cores)`` shares.
@@ -215,6 +214,12 @@ def run_batch(config: ScenarioConfig, collect_trace: bool = False) -> BatchResul
     pipes its pickled runs back and exits. Every child has been read and
     waited for when this returns or raises, and an exception raised in a
     child is raised again here.
+
+    With ``finish``, each run is simulated with ``collect_trace`` and handed
+    to ``finish(run)`` as soon as it ends, in the process that simulated it;
+    the batch keeps what ``finish`` returns, so a ``finish`` that writes the
+    trace and drops it holds a batch's memory flat in ``runs``. Without it
+    the runs are kept untraced.
 
     When the shares fill the caller's affinity mask, each share runs pinned
     to one core of it, in order: the caller on the first, each child on the
@@ -230,11 +235,15 @@ def run_batch(config: ScenarioConfig, collect_trace: bool = False) -> BatchResul
     shares = max(1, min(len(seeds), len(cores)))
     pin = shares == len(cores)
 
-    def run_share(share: int) -> list[RunMetrics]:
-        return [run_scenario(config, seed=seed, collect_trace=collect_trace) for seed in seeds[share::shares]]
+    def run_share(share: int) -> list:
+        if finish is None:
+            return [run_scenario(config, seed=seed) for seed in seeds[share::shares]]
+        return [finish(run_scenario(config, seed=seed, collect_trace=True)) for seed in seeds[share::shares]]
 
     if shares < 2:
         return BatchResult(config=config, runs=run_share(0))
+    # Share i holds seeds i, i + shares, ...: its runs go back to those places.
+    runs: list = [None] * len(seeds)
     # numpy loads numpy.random on first use; load it here, once, rather than
     # once in the caller and again in every child after the fork.
     import numpy.random  # noqa: F401
@@ -262,7 +271,7 @@ def run_batch(config: ScenarioConfig, collect_trace: bool = False) -> BatchResul
         # caller's whole mask.
         if pin:
             _pin(cores[0])
-        runs = run_share(0)
+        runs[0::shares] = run_share(0)
     finally:
         for _, read_fd in children:
             with open(read_fd, "rb") as pipe:
@@ -271,15 +280,15 @@ def run_batch(config: ScenarioConfig, collect_trace: bool = False) -> BatchResul
             exit_codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
         if pin:
             os.sched_setaffinity(0, cores)
-    for (pid, _), payload, code in zip(children, payloads, exit_codes):
+    for share, ((pid, _), payload, code) in enumerate(zip(children, payloads, exit_codes), 1):
         if code != 0:
             raise RuntimeError(f"run_batch: the child running a seed share (pid {pid}) exited with {code}")
         ok, value = pickle.loads(payload)
         if not ok:
             exc, child_traceback = value
             raise exc from RuntimeError(f"in the child running a seed share (pid {pid}):\n{child_traceback}")
-        runs += value
-    return BatchResult(config=config, runs=sorted(runs, key=lambda run: run.seed))
+        runs[share::shares] = value
+    return BatchResult(config=config, runs=runs)
 
 
 def _usable_cores() -> list[int]:
@@ -348,28 +357,28 @@ def summary_row(batch: BatchResult) -> list:
 
 def emit_summary(batch: BatchResult, path: str | Path) -> Path:
     """Write the batch aggregate row. Same batch, same bytes."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SUMMARY_HEADER)
-        writer.writerow(summary_row(batch))
-    return path
+    return _write_csv(path, [",".join(SUMMARY_HEADER), ",".join(map(str, summary_row(batch)))])
 
 
 def emit_timeseries(run: RunMetrics, path: str | Path) -> Path:
-    """Write one run's per-second trace (requires collect_trace).
-
-    The bytes are those of ``csv.writer``'s default dialect (CRLF line ends;
-    no field needs quoting), built as one string and written in one call.
-    """
+    """Write one run's per-second trace (requires collect_trace)."""
     if run.trace is None:
         raise ValueError("run was simulated without collect_trace=True")
-    path = Path(path)
     lines = [",".join(TIMESERIES_HEADER)]
     lines += [
         f"{float(t_s)!r},{float(pdr)!r},{tx},{'' if jam is None else jam},{outcome}"
         for t_s, pdr, tx, jam, outcome in run.trace
     ]
+    return _write_csv(path, lines)
+
+
+def _write_csv(path: str | Path, lines: list[str]) -> Path:
+    """Write comma-joined ``lines`` as CSV records, built as one string and written in one call.
+
+    The bytes are those of ``csv.writer``'s default dialect: CRLF line ends,
+    and no field hopwar writes needs quoting.
+    """
+    path = Path(path)
     lines.append("")
     with path.open("w", newline="") as handle:
         handle.write("\r\n".join(lines))

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hopwar import cli
 from hopwar.cli import main
 from hopwar.config import ConfigError, ScenarioConfig, load_config
-from hopwar.engine import SUMMARY_HEADER
+from hopwar.engine import SUMMARY_HEADER, emit_summary
 
 
 @pytest.fixture
@@ -97,6 +98,19 @@ def test_impossible_energy_value_is_exit_1(tmp_path, capsys, line):
     assert capsys.readouterr().err.startswith("hopwar: config error: ")
 
 
+def test_a_timeseries_batch_keeps_no_trace_once_written(config_file, tmp_path, monkeypatch):
+    kept = []
+
+    def summary(batch, path):
+        kept.extend(run.trace for run in batch.runs)
+        return emit_summary(batch, path)
+
+    monkeypatch.setattr(cli, "emit_summary", summary)
+    assert main(["run", "--config", str(config_file), "--out-dir", str(tmp_path / "out"), "--timeseries"]) == 0
+    assert kept == [None, None]
+    assert len((tmp_path / "out" / "run_12.csv").read_text().splitlines()) == 31
+
+
 def test_bad_override_value_is_exit_1(config_file, capsys):
     assert main(["run", "--config", str(config_file), "--runs", "many"]) == 1
     assert "bad value" in capsys.readouterr().err
@@ -108,6 +122,49 @@ def test_unwritable_out_dir_is_exit_2(config_file, tmp_path, capsys):
     code = main(["run", "--config", str(config_file), "--out-dir", str(blocker / "sub")])
     assert code == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [40, 41], ids=["caller-share", "child-share"])
+def test_a_trace_that_cannot_be_written_is_exit_2_in_either_share(tmp_path, monkeypatch, capsys, seed):
+    # Two shares: seeds 40 and 42 run in the caller, 41 and 43 in a child.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    config = tmp_path / "scenario.cfg"
+    config.write_text("sim_duration_s = 10\nattacker = reactive\nseed = 40\nruns = 4\n")
+    out = tmp_path / "out"
+    (out / f"run_{seed}.csv").mkdir(parents=True)
+    assert main(["run", "--config", str(config), "--out-dir", str(out), "--timeseries"]) == 2
+    assert "cannot write results" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Spawns the command line in its argv and prints its exit code and peak RSS
+# in KiB. A process's peak RSS counts the address space it had before exec,
+# so the command is spawned from this small interpreter, not from pytest.
+PEAK_RSS = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_timeseries_batch_memory_does_not_grow_with_runs(tmp_path):
+    peak_kib = {}
+    for runs in (4, 40):
+        config = tmp_path / f"runs{runs}.cfg"
+        config.write_text(f"attacker = reactive\nruns = {runs}\n")
+        argv = ["-m", "hopwar", "run", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--timeseries"]
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", PEAK_RSS, *argv], capture_output=True, text=True, timeout=120
+        )
+        code, peak_kib[runs] = map(int, proc.stdout.splitlines()[-1].split())
+        assert code == 0, proc.stderr
+    # Each run's 1,790-sample trace is about 0.3 MiB: kept for every run, 36
+    # more runs would add about 11 MiB.
+    assert peak_kib[40] - peak_kib[4] < 2 * 1024, peak_kib
 
 
 def test_console_entry_point_runs(config_file, tmp_path):

@@ -184,6 +184,7 @@ def test_run_batch_counts_and_seed_layout():
     batch = run_batch(cfg)
     assert len(batch.runs) == 5
     assert batch.seeds == [100, 101, 102, 103, 104]
+    assert all(run.trace is None for run in batch.runs)
 
 
 def usable_cores(monkeypatch, cores):
@@ -195,12 +196,43 @@ def test_run_batch_equals_per_seed_runs_on_any_core_count(monkeypatch, cores):
     # Five seeds split unevenly over two or three shares.
     usable_cores(monkeypatch, cores)
     cfg = short_config(runs=5, seed=40, attacker="bandit", defender="smart", sim_duration_s=30.0)
-    batch = run_batch(cfg, collect_trace=True)
+    batch = run_batch(cfg, finish=lambda run: run)
     assert batch.seeds == [40, 41, 42, 43, 44]
     for got in batch.runs:
         want = run_scenario(cfg, seed=got.seed, collect_trace=True)
         assert got.as_row() == want.as_row()
         assert got.trace == want.trace
+
+
+class Finished(NamedTuple):
+    """What a test's ``finish`` keeps of a run: its seed, its trace length and who finished it."""
+
+    seed: int
+    trace_samples: int
+    pid: int
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_run_batch_finishes_each_run_once_in_the_share_that_ran_it(monkeypatch, tmp_path, cores):
+    usable_cores(monkeypatch, cores)
+
+    def finish(run):
+        # Appended from whichever process finishes the run, so a second call
+        # for a seed, in either process, would show as a second line.
+        with (tmp_path / f"{run.seed}.calls").open("a") as calls:
+            calls.write(f"{os.getpid()}\n")
+        return Finished(run.seed, len(run.trace), os.getpid())
+
+    cfg = short_config(runs=5, seed=40, attacker="reactive", sim_duration_s=10.0)
+    runs = run_batch(cfg, finish).runs
+    assert [run.seed for run in runs] == [40, 41, 42, 43, 44]
+    assert all(run.trace_samples == 10 for run in runs)  # one per simulated second
+    for run in runs:
+        assert (tmp_path / f"{run.seed}.calls").read_text() == f"{run.pid}\n"
+    # Seed 40 + i is dealt to share i % cores; share 0 is the caller's.
+    callers = {run.seed for run in runs if run.pid == os.getpid()}
+    assert callers == set(range(40, 45, cores))
+    assert len({run.pid for run in runs}) == cores
 
 
 def test_run_batch_raises_a_childs_exception_and_leaves_no_child(monkeypatch):
@@ -539,7 +571,7 @@ def test_run_batch_gives_the_same_runs_on_one_and_two_cores(attacker, defender, 
     for cores in (1, 2):
         with pytest.MonkeyPatch.context() as patch:
             usable_cores(patch, cores)
-            batches.append(run_batch(config, collect_trace=True))
+            batches.append(run_batch(config, finish=lambda run: run))
     one, two = batches
     assert one.seeds == two.seeds
     assert [run.as_row() for run in one.runs] == [run.as_row() for run in two.runs]
