@@ -48,8 +48,21 @@ class Jammer:
     transmission. Sensing needs no acknowledgment traffic: energy on the
     channel is enough, so a successful jam still reads as a hit.
 
-    The base takes no arguments, emits nothing and senses nothing, which
-    makes it the engine's stand-in before the attack starts.
+    ``quiet(victim_channel, limit)`` fast-forwards a silent stretch. The
+    engine calls it only after a slot the jammer was silent in, while the
+    victim stays on ``victim_channel`` and every packet gets through. It
+    plays the coming slots for as long as the jammer stays silent, at most
+    ``limit`` of them, and returns how many it played. Those slots must
+    leave the jammer, ``sensing_channel`` included, exactly as that many
+    rounds of ``step(victim_channel)`` and, while ``sensing_channel`` is
+    set, ``observe(sensing_channel == victim_channel)`` would, each of
+    them returning None from ``step``. The slot after the stretch is played
+    by ``step``, and emits unless ``limit`` ended the stretch. A strategy
+    without a closed form inherits the base's ``quiet``, which plays no
+    slot, and is played slot by slot.
+
+    The base takes no arguments, emits nothing and senses nothing, and its
+    ``quiet`` plays no slot.
     """
 
     def __init__(self) -> None:
@@ -62,6 +75,9 @@ class Jammer:
 
     def observe(self, sensed_busy: bool) -> None:
         pass
+
+    def quiet(self, victim_channel: int, limit: int) -> int:
+        return 0
 
 
 class RandomJammer(Jammer):
@@ -120,6 +136,32 @@ class ReactiveJammer(Jammer):
                 self.attacking = False
                 self.sensing_channel = (self.sensing_channel + 1) % self.num_channels
                 self._countdown = self.dwell
+
+    def quiet(self, victim_channel: int, limit: int) -> int:
+        """Scan on, silent, until the slot that finds the victim, at most ``limit`` slots."""
+        if self.attacking:
+            return 0
+        channel = self.sensing_channel
+        countdown = self._countdown
+        dwell = self.dwell
+        # Quiet slots on the channels before the victim's: the rest of this
+        # dwell, then a whole dwell on each channel in between.
+        ahead = (victim_channel - channel) % self.num_channels
+        misses = countdown + (ahead - 1) * dwell if ahead else 0
+        if misses < limit:
+            # The scan reaches the victim; that slot is silent too, and the
+            # jammer camps there from the next one.
+            self.attacking = True
+            self.sensing_channel = victim_channel
+            self._countdown = self.idle_trigger
+            return misses + 1
+        if limit < countdown:
+            self._countdown = countdown - limit
+        else:
+            moves, spent = divmod(limit - countdown, dwell)
+            self.sensing_channel = (channel + 1 + moves) % self.num_channels
+            self._countdown = dwell - spent
+        return limit
 
 
 class BanditJammer(Jammer):
@@ -253,6 +295,33 @@ class PhasedJammer(Jammer):
             est.clear()
             self._est_sum = 0
 
+    def quiet(self, victim_channel: int, limit: int) -> int:
+        """Sweep on through the listening phase, at most ``limit`` slots.
+
+        The counts of a listening phase are whole numbers, as the phase
+        starts from an empty map and adds ones, so adding a stretch's hits
+        at once and then capping gives the float that capping slot by slot
+        would.
+        """
+        if not self.listening or not limit:
+            return 0
+        slots = min(limit, self._listen_left)
+        num_channels = self.num_channels
+        sweep = self._sweep
+        # The stretch senses the victim's channel first after ``first`` slots,
+        # then once every ``num_channels``.
+        first = (victim_channel - sweep) % num_channels
+        if first < slots:
+            count = self.counts[victim_channel] + (1 + (slots - 1 - first) // num_channels)
+            self.counts[victim_channel] = count if count < PHASED_COUNT_CAP else PHASED_COUNT_CAP
+        self.sensing_channel = (sweep + slots - 1) % num_channels
+        self._sweep = (sweep + slots) % num_channels
+        self._listen_left -= slots
+        if self._listen_left <= 0:
+            self.listening = False
+            self._best = -1
+        return slots
+
 
 class OracleJammer(Jammer):
     """Duty-cycled perfect follower.
@@ -277,6 +346,15 @@ class OracleJammer(Jammer):
         position = self._position
         self._position = position + 1 if position + 1 < self._cycle else 0
         return victim_channel if position < self.burst_slots else None
+
+    def quiet(self, victim_channel: int, limit: int) -> int:
+        """Sit out the rest of the cooldown, at most ``limit`` slots."""
+        position = self._position
+        if position < self.burst_slots:
+            return 0
+        slots = min(limit, self._cycle - position)
+        self._position = (position + slots) % self._cycle
+        return slots
 
 
 # Name -> strategy class, built as Cls(config, attacker rng): the one place to

@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--timeseries",
         action="store_true",
-        help="also write one per-second trace CSV per run",
+        help="also write one trace CSV per run, a row every round(1 / slot_s) slots",
     )
     return parser
 

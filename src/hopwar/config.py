@@ -1,9 +1,9 @@
 """Scenario configuration: defaults, file parsing, validation.
 
 Config files are UTF-8 text of flat ``key = value`` lines; ``#`` starts a
-comment and blank lines are skipped. Every key must be a known field, values
-must parse as the field's type, and the merged result must validate. CLI
-flags are applied on top of whatever the file sets.
+comment and blank lines are skipped. Every key must be a known field, set on
+one line only; values must parse as the field's type, and the merged result
+must validate. CLI flags are applied on top of whatever the file sets.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from .defender import DEFENDERS
 # the phased jammer and the smart defender keep per-channel lists: the bandit
 # samples every arm each step, the phased jammer scans its map when it
 # re-ranks, and the smart defender compares channels on a home move. A batch
-# holds all of its runs in memory. A run steps through every one of its
-# slots, 10**8 of them already take minutes, and a traced run keeps one row
-# per simulated second.
+# holds all of its runs in memory. A run steps through its slots one by one
+# (quiet stretches against the random hopper aside), 10**8 of them already
+# take minutes, and a traced run keeps one row per emission period.
 MAX_CHANNELS = 1024
 MAX_RUNS = 10_000
 MAX_SLOTS = 10**8
@@ -100,6 +100,8 @@ def _convert(key: str, raw: str):
 
 def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
     values: dict[str, object] = {}
+    # Where each key was set: a key set twice is an error, not a silent override.
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -111,6 +113,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
         raw = raw.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{source}:{lineno}: {key!r} is set twice, on lines {set_on[key]} and {lineno}")
+        set_on[key] = lineno
         values[key] = _convert(key, raw)
     return ScenarioConfig(**values)
 

@@ -131,6 +131,12 @@ class RandomDefender(BaseDefender):
 
     The hop happens when the next slot's channel is committed, to a uniform
     random channel other than the one the attacker was last sensed on.
+
+    A delivery only ticks its clock, and only a failure can ask for a hop,
+    so after a delivered slot a run of slots the attacker is silent in, with
+    no random loss, leaves it on its channel with nothing but its clock
+    moved. ``skip`` plays such a run at once, which lets the engine
+    fast-forward an attacker's quiet stretch.
     """
 
     def __init__(self, config, rng: np.random.Generator) -> None:
@@ -139,6 +145,10 @@ class RandomDefender(BaseDefender):
 
     def _on_detection(self) -> None:
         self.hop_pending = True
+
+    def skip(self, slots: int) -> None:
+        """Record ``slots`` deliveries at once: the clock ticks, nothing else moves."""
+        self._now += slots
 
     def advance(self, avoid: int | None = None) -> int:
         """Commit this slot's channel, hopping first if a detection asked to."""

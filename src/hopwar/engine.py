@@ -8,6 +8,18 @@ attacker gets its sensing feedback. Detections therefore take effect at the
 start of the next slot, and the attacker's knowledge always trails the slot
 it acted in. A run keeps counters, not per-slot series.
 
+Slots are played one by one, except a quiet stretch against the random
+hopper in a lossless run: after a slot the attacker was silent in, the
+jammer's ``quiet`` plays the slots it stays silent for in closed form and
+the defender's ``skip`` ticks its clock over them, so they cost O(1)
+together. Without random loss a silent slot is sure to deliver and draws
+nothing, a delivery leaves the random hopper on its channel with only its
+clock moved, and ``quiet`` leaves the jammer as the slots would, so no
+output changes. The smart defender changes state every slot and a lossy
+slot draws the phy's generator, so those runs play every slot. Only the
+slots played one by one call ``step``, ``observe``, ``advance`` and
+``record_and_detect``.
+
 All randomness flows from the run seed through fixed per-component streams
 (defender 0, attacker 1, phy 2), so a run is a pure function of its config
 and seed: same inputs, byte-identical outputs.
@@ -74,6 +86,13 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     attacker's place, and the trace sample is taken between segments, so the
     per-slot loop tests no slot number. Each slot hands the defender the
     previous slot's emission and the attacker the slot's transmit channel.
+
+    When a slot ends with the attacker silent, ``loss_prob`` is 0 and the
+    defender has ``skip`` (the random hopper), the rest of the attacker's
+    quiet stretch within the segment is fast-forwarded: ``quiet`` plays it
+    in the jammer, and its slots are added to ``delivered`` and to the
+    defender's clock at once. A stretch never crosses a segment cut, so
+    phase starts and trace samples see the slots they would see otherwise.
     """
     validate(config)
     if seed is None:
@@ -117,7 +136,11 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     resolve = resolve_slot
     record = defender.record_and_detect
     observe = attacker.observe
+    # Quiet stretches are fast-forwarded only where a silent slot is sure to
+    # deliver and to leave the defender as it was but for its clock.
+    skip = getattr(defender, "skip", None) if loss_prob == 0.0 else None
 
+    # Slots played so far.
     slot = 0
     for stop in stops:
         if stop <= slot:
@@ -125,24 +148,34 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
         advance = defender.advance if slot >= hop_enable else hold
         agent = attacker if slot >= attack_start else _SILENT
         step = agent.step
-        for _ in range(slot, stop):
-            tx = advance(emit)
-            emit = step(tx)
-            sense = agent.sensing_channel
-            slot_delivered, slot_jammed = resolve(tx, emit, loss_prob, phy_rng)
-            record(slot_delivered)
-            if slot_delivered:
-                delivered += 1
-                if retry:
-                    retry = False
-                    recovered += 1
-            else:
-                retry = True
-                if slot_jammed:
-                    jammed += 1
-            if sense is not None:
-                observe(sense == tx)
-        slot = stop
+        quiet = agent.quiet
+        while slot < stop:
+            for slot in range(slot + 1, stop + 1):
+                tx = advance(emit)
+                emit = step(tx)
+                sense = agent.sensing_channel
+                slot_delivered, slot_jammed = resolve(tx, emit, loss_prob, phy_rng)
+                record(slot_delivered)
+                if slot_delivered:
+                    delivered += 1
+                    if retry:
+                        retry = False
+                        recovered += 1
+                else:
+                    retry = True
+                    if slot_jammed:
+                        jammed += 1
+                if sense is not None:
+                    observe(sense == tx)
+                if emit is None and skip is not None:
+                    # A delivered silent slot: the victim stays on tx and the
+                    # send queue stays empty for as long as the attacker is quiet.
+                    run = quiet(tx, stop - slot)
+                    if run:
+                        delivered += run
+                        skip(run)
+                        slot += run
+                        break
         if trace is not None and stop % stride == 0:
             if slot_jammed:
                 outcome = "jammed"
@@ -166,8 +199,14 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     )
 
 
-# The attacker's stand-in before the attack starts: no emission, no sensing.
-_SILENT = Jammer()
+class _Silent(Jammer):
+    """The attacker's stand-in before the attack starts: no emission, no sensing, quiet throughout."""
+
+    def quiet(self, victim_channel: int, limit: int) -> int:
+        return limit
+
+
+_SILENT = _Silent()
 
 
 @dataclass
@@ -361,7 +400,13 @@ def emit_summary(batch: BatchResult, path: str | Path) -> Path:
 
 
 def emit_timeseries(run: RunMetrics, path: str | Path) -> Path:
-    """Write one run's per-second trace (requires collect_trace)."""
+    """Write one run's trace (requires collect_trace).
+
+    A row per emission period of ``round(1 / slot_s)`` slots, one per
+    simulated second at the default ``slot_s``. ``t_s`` is the period count
+    times the period's float length, so at ``slot_s = 0.3`` it reads
+    0.8999999999999999, 1.7999999999999998, ...
+    """
     if run.trace is None:
         raise ValueError("run was simulated without collect_trace=True")
     lines = [",".join(TIMESERIES_HEADER)]

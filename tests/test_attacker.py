@@ -1,10 +1,11 @@
+import copy
 import inspect
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopwar import attacker as attacker_module
@@ -12,7 +13,9 @@ from hopwar import defender as defender_module
 from hopwar import engine
 from hopwar.attacker import (
     ATTACKERS,
+    PHASED_COUNT_CAP,
     BanditJammer,
+    Jammer,
     OracleJammer,
     PhasedJammer,
     RandomJammer,
@@ -362,3 +365,124 @@ def test_a_jammer_draws_only_from_its_own_generator(name, counting_rng):
         assert set(counting_rng.calls) == {draws} and counting_rng.calls[draws] > 0
     assert random.getstate() == python_state
     assert all(np.array_equal(a, b) for a, b in zip(np.random.get_state(), numpy_state))
+
+
+# --- quiet: a silent stretch played at once -----------------------------------
+
+
+def state(jammer):
+    """A copy of the jammer's attributes; their lists and deques hold only numbers, so one level deep is enough."""
+    return {name: copy.copy(value) for name, value in vars(jammer).items()}
+
+
+def clone(jammer):
+    twin = copy.copy(jammer)
+    twin.__dict__ = state(jammer)
+    return twin
+
+
+def silent_states(jammer, victim_channel, most):
+    """The jammer's state after each of its next silent slots, at most ``most``, played one by one.
+
+    Entry ``k`` is the state after ``k`` slots of ``step(victim_channel)``
+    then, while it senses, ``observe(sensing_channel == victim_channel)``;
+    the list stops before the first slot ``step`` emits in.
+    """
+    jammer = clone(jammer)
+    states = [state(jammer)]
+    while len(states) <= most and jammer.step(victim_channel) is None:
+        if jammer.sensing_channel is not None:
+            jammer.observe(jammer.sensing_channel == victim_channel)
+        states.append(state(jammer))
+    return states
+
+
+def check_quiet(jammer, victim_channel, most):
+    """``quiet`` at every limit from 0 to ``most`` against ``silent_states``; return the stretch's length."""
+    states = silent_states(jammer, victim_channel, most)
+    for limit in range(most + 1):
+        fast = clone(jammer)
+        played = fast.quiet(victim_channel, limit)
+        assert played == min(limit, len(states) - 1), limit
+        assert vars(fast) == states[played], limit
+    return len(states) - 1
+
+
+# Where the victim sits while a jammer warms up: (channel, slots) runs, the
+# channel taken modulo the channel count, so the jammer is left camping,
+# scanning, listening, attacking or anywhere in its duty cycle.
+VICTIM_RUNS = st.lists(st.tuples(st.integers(0, 1023), st.integers(1, 80)), max_size=8)
+
+
+def warm_up(jammer, runs, num_channels):
+    for channel, slots in runs:
+        for _ in range(slots):
+            drive(jammer, channel % num_channels)
+
+
+@pytest.mark.parametrize("num_channels", [2, 7, 1024])
+@settings(max_examples=30)
+@given(idle_trigger=st.integers(1, 8), dwell=st.integers(1, 3), runs=VICTIM_RUNS, victim=st.integers(0, 1023))
+def test_reactive_quiet_is_its_silent_slots_played_one_by_one(num_channels, idle_trigger, dwell, runs, victim):
+    j = build(ReactiveJammer, num_channels=num_channels, idle_trigger_slots=idle_trigger, reactive_dwell_slots=dwell)
+    warm_up(j, runs, num_channels)
+    # Past a whole scan cycle: every stretch ends on the victim's channel.
+    check_quiet(j, victim % num_channels, 2 * num_channels * dwell + 1)
+
+
+@pytest.mark.parametrize("num_channels", [2, 7, 1024])
+@settings(max_examples=30)
+@given(
+    listen_len=st.integers(1, 300),
+    eval_len=st.integers(1, 30),
+    retrain_trigger=st.sampled_from((0.0, 0.3, 0.6)),
+    runs=VICTIM_RUNS,
+    victim=st.integers(0, 1023),
+)
+def test_phased_quiet_is_its_silent_slots_played_one_by_one(
+    num_channels, listen_len, eval_len, retrain_trigger, runs, victim
+):
+    knobs = dict(listen_len_slots=listen_len, eval_len_slots=eval_len, retrain_trigger=retrain_trigger)
+    j = build(PhasedJammer, num_channels=num_channels, **knobs)
+    warm_up(j, runs, num_channels)
+    check_quiet(j, victim % num_channels, listen_len + 2 * num_channels)
+
+
+@pytest.mark.parametrize("num_channels", [2, 1024])
+@settings(max_examples=30)
+@given(burst=st.integers(1, 60), cooldown=st.integers(0, 60), runs=VICTIM_RUNS, victim=st.integers(0, 1023))
+def test_oracle_quiet_is_its_silent_slots_played_one_by_one(num_channels, burst, cooldown, runs, victim):
+    j = build(OracleJammer, num_channels=num_channels, oracle_burst_slots=burst, oracle_cooldown_slots=cooldown)
+    warm_up(j, runs, num_channels)
+    check_quiet(j, victim % num_channels, 3 * (burst + cooldown))
+
+
+@pytest.mark.parametrize("num_channels", [5, 1024])
+def test_reactive_quiet_scans_past_channel_0_to_the_victim(num_channels):
+    # Camped on channel 3, the jammer loses the victim to channel 1, scans
+    # silently up through the last channel and on from channel 0.
+    j = build(ReactiveJammer, num_channels=num_channels, idle_trigger_slots=2, reactive_dwell_slots=3)
+    j.sensing_channel = 3
+    for _ in range(2):
+        drive(j, 1)
+    assert (j.attacking, j.sensing_channel) == (False, 4)
+    assert check_quiet(j, 1, 3 * num_channels + 5) == 3 * (num_channels - 3) + 1
+    j.quiet(1, 3 * num_channels)
+    assert (j.attacking, j.sensing_channel) == (True, 1)
+
+
+def test_phased_quiet_ends_the_listen_and_caps_the_count_inside_the_stretch():
+    # 100 listening slots over 2 channels sense the victim 50 times; its
+    # count stops at the cap, and the stretch ends where the listen does.
+    j = build(PhasedJammer, num_channels=2, listen_len_slots=100)
+    drive(j, 0)
+    assert check_quiet(j, 0, 150) == 99
+    assert j.quiet(0, 150) == 99
+    assert j.counts == [PHASED_COUNT_CAP, 0.0]
+    assert not j.listening
+    assert j.step(0) == 0
+
+
+def test_jammers_without_a_closed_form_play_no_quiet_slot():
+    for j in (Jammer(), build(RandomJammer), build(BanditJammer)):
+        assert j.quiet(0, 10) == 0

@@ -55,6 +55,13 @@ def test_unknown_key_is_an_error():
         parse_config_text("channel_count = 12")
 
 
+def test_a_key_set_twice_is_an_error_naming_both_lines():
+    # The last line used to win silently: this file ran 3 seeds.
+    text = "# two batches?\nruns = 2\nattacker = oracle\nruns = 3\n"
+    with pytest.raises(ConfigError, match=r"^scenario.cfg:4: 'runs' is set twice, on lines 2 and 4$"):
+        parse_config_text(text, source="scenario.cfg")
+
+
 def test_bad_value_is_an_error():
     with pytest.raises(ConfigError, match="bad value"):
         parse_config_text("num_channels = twelve")

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopwar import cli, engine
-from hopwar.attacker import ATTACKERS
+from hopwar.attacker import ATTACKERS, Jammer
 from hopwar.config import ConfigError, ScenarioConfig, validate
-from hopwar.defender import DEFENDERS
+from hopwar.defender import DEFENDERS, RandomDefender
 from hopwar.engine import (
     SUMMARY_HEADER,
     TIMESERIES_HEADER,
@@ -576,6 +576,92 @@ def test_run_batch_gives_the_same_runs_on_one_and_two_cores(attacker, defender, 
     assert one.seeds == two.seeds
     assert [run.as_row() for run in one.runs] == [run.as_row() for run in two.runs]
     assert [run.trace for run in one.runs] == [run.trace for run in two.runs]
+
+
+# --- fast-forwarded quiet stretches against the per-slot loop -----------------
+
+
+class FastForward(NamedTuple):
+    """What one run fast-forwarded: ``quiet`` calls and, per ``skip``, (slots recorded before it, slots skipped)."""
+
+    quiet_calls: list
+    skips: list
+
+
+@pytest.fixture
+def fast_forward(monkeypatch):
+    """Record every ``quiet`` call of any jammer and every ``RandomDefender.skip``."""
+    seen = FastForward([], [])
+    for cls in {Jammer, type(engine._SILENT), *ATTACKERS.values()}:
+        if "quiet" in vars(cls):
+
+            def quiet(self, victim_channel, limit, _quiet=vars(cls)["quiet"]):
+                seen.quiet_calls.append(type(self).__name__)
+                return _quiet(self, victim_channel, limit)
+
+            monkeypatch.setattr(cls, "quiet", quiet)
+    skip = RandomDefender.skip
+
+    def counted_skip(self, slots):
+        seen.skips.append((self._now, slots))
+        skip(self, slots)
+
+    monkeypatch.setattr(RandomDefender, "skip", counted_skip)
+    return seen
+
+
+# Lossless runs against the random hopper, each with a phase start inside a
+# quiet stretch; at 0.1 s slots every tenth slot ends a trace period, inside
+# stretches too. Detections come after five failures in 20 slots.
+QUIET_RUNS = {
+    # Cooldown over slots 5-54: the burst's fifth jam asks for a hop at slot
+    # 4, while hopping is held until slot 30.
+    "oracle": dict(
+        attacker="oracle", attack_start_s=0.0, hop_enable_s=3.0, oracle_burst_slots=5, oracle_cooldown_slots=50
+    ),
+    # Hopping starts at slot 5, inside the stand-in's quiet stretch, and the
+    # attack at slot 23 opens with a listening phase, so it splits one.
+    "phased": dict(attacker="phased", attack_start_s=2.3, hop_enable_s=0.5, listen_len_slots=40, eval_len_slots=30),
+    # Hopping starts at slot 5, inside the stand-in's quiet stretch; every
+    # hop away sends the jammer on a silent scan.
+    "reactive": dict(
+        attacker="reactive", attack_start_s=1.5, hop_enable_s=0.5, idle_trigger_slots=5, reactive_dwell_slots=3
+    ),
+}
+
+
+def quiet_run_config(name, **changes):
+    base = dict(sim_duration_s=60.0, num_channels=6, detection_window_slots=20, seed=11)
+    return ScenarioConfig(**{**base, **QUIET_RUNS[name], **changes})
+
+
+@pytest.mark.parametrize("collect_trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("name", list(QUIET_RUNS))
+def test_fast_forwarded_runs_equal_the_per_slot_loop(fast_forward, name, collect_trace):
+    config = quiet_run_config(name)
+    want, want_trace = reference_run(config, config.seed)
+    got = run_scenario(config, collect_trace=collect_trace)
+    assert got.as_row() == want.as_row()
+    assert got.trace == (want_trace if collect_trace else None)
+    assert got.hops > 0
+    assert sum(slots for _, slots in fast_forward.skips) >= config.num_slots // 4
+    # Stretches stop at the phase starts and, only when traced, at the end
+    # of the first trace period, slot 10, which falls inside one in all three.
+    ends = {before + slots for before, slots in fast_forward.skips}
+    assert {config.hop_enable_slot, config.attack_start_slot} - {0} <= ends
+    assert (10 in ends) == collect_trace
+
+
+@pytest.mark.parametrize("changes", [dict(defender="smart"), dict(loss_prob=0.05)], ids=["smart-defender", "lossy"])
+@pytest.mark.parametrize("name", list(QUIET_RUNS))
+def test_smart_and_lossy_runs_play_every_slot(fast_forward, name, changes):
+    config = quiet_run_config(name, **changes)
+    for collect_trace in (False, True):
+        want, want_trace = reference_run(config, config.seed)
+        got = run_scenario(config, collect_trace=collect_trace)
+        assert got.as_row() == want.as_row()
+        assert got.trace == (want_trace if collect_trace else None)
+    assert fast_forward == FastForward([], [])
 
 
 def test_every_name_the_benchmark_tracer_wraps_is_called(monkeypatch, tmp_path):
