@@ -86,8 +86,23 @@ class ScenarioConfig:
 
 
 _FIELD_TYPES = {f.name: type(f.default) for f in fields(ScenarioConfig)}
-# The energy model's powers (p_*_w) and air times (t_*_s).
-_ENERGY_KEYS = [key for key in _FIELD_TYPES if key.startswith(("p_", "t_"))]
+# Inclusive (least, most) bounds of every int field. eval_len_slots sizes the
+# phased jammer's deque, whose maxlen must fit in sys.maxsize; the detector
+# window is held to the same limit.
+_INT_BOUNDS = {
+    "num_channels": (2, MAX_CHANNELS),
+    "seed": (0, math.inf),
+    "runs": (1, MAX_RUNS),
+    "detection_window_slots": (1, sys.maxsize),
+    "idle_trigger_slots": (1, math.inf),
+    "reactive_dwell_slots": (1, math.inf),
+    "listen_len_slots": (1, math.inf),
+    "eval_len_slots": (1, sys.maxsize),
+    "oracle_burst_slots": (1, math.inf),
+    "oracle_cooldown_slots": (0, math.inf),
+}
+# The phase starts, and the energy model's powers (p_*_w) and air times (t_*_s).
+_NON_NEGATIVE_KEYS = ["attack_start_s", "hop_enable_s"] + [key for key in _FIELD_TYPES if key.startswith(("p_", "t_"))]
 
 
 def _convert(key: str, raw: str):
@@ -165,10 +180,12 @@ def validate(config: ScenarioConfig) -> None:
     ):
         raise ConfigError("slot counts overflow: durations are too long for slot_s")
     problems = []
-    if config.num_channels < 2:
-        problems.append("num_channels must be at least 2")
-    if config.num_channels > MAX_CHANNELS:
-        problems.append(f"num_channels must be at most {MAX_CHANNELS}")
+    for key, (least, most) in _INT_BOUNDS.items():
+        value = getattr(config, key)
+        if value < least:
+            problems.append(f"{key} must be at least {least}")
+        elif value > most:
+            problems.append(f"{key} must be at most {most}")
     if config.slot_s <= 0:
         problems.append("slot_s must be positive")
     if config.sim_duration_s <= 0:
@@ -177,46 +194,18 @@ def validate(config: ScenarioConfig) -> None:
         problems.append("simulation must cover at least one slot")
     if config.slot_s > 0 and config.num_slots > MAX_SLOTS:
         problems.append(f"sim_duration_s / slot_s must be at most {MAX_SLOTS} slots")
-    if config.attack_start_s < 0:
-        problems.append("attack_start_s must not be negative")
-    if config.hop_enable_s < 0:
-        problems.append("hop_enable_s must not be negative")
-    if config.runs < 1:
-        problems.append("runs must be at least 1")
-    if config.runs > MAX_RUNS:
-        problems.append(f"runs must be at most {MAX_RUNS}")
-    if config.seed < 0:
-        problems.append("seed must not be negative")
+    problems += [f"{key} must not be negative" for key in _NON_NEGATIVE_KEYS if getattr(config, key) < 0]
     if not 0.0 < config.detection_threshold <= 1.0:
         problems.append("detection_threshold must be in (0, 1]")
-    if config.detection_window_slots < 1:
-        problems.append("detection_window_slots must be at least 1")
-    if config.detection_window_slots > sys.maxsize:
-        problems.append(f"detection_window_slots must be at most {sys.maxsize}")
     if not 0.0 <= config.loss_prob < 1.0:
         problems.append("loss_prob must be in [0, 1)")
     if config.attacker not in ATTACKERS:
         problems.append(f"attacker must be one of {sorted(ATTACKERS)}, got {config.attacker!r}")
     if config.defender not in DEFENDERS:
         problems.append(f"defender must be one of {sorted(DEFENDERS)}, got {config.defender!r}")
-    problems += [f"{key} must not be negative" for key in _ENERGY_KEYS if getattr(config, key) < 0]
     if config.t_tx_data_s + config.t_rx_ack_s > config.slot_s:
         problems.append("t_tx_data_s + t_rx_ack_s (a delivered slot's air time) must not exceed slot_s")
-    if config.idle_trigger_slots < 1:
-        problems.append("idle_trigger_slots must be at least 1")
-    if config.reactive_dwell_slots < 1:
-        problems.append("reactive_dwell_slots must be at least 1")
-    if config.listen_len_slots < 1:
-        problems.append("listen_len_slots must be at least 1")
-    if config.eval_len_slots < 1:
-        problems.append("eval_len_slots must be at least 1")
-    if config.eval_len_slots > sys.maxsize:
-        problems.append(f"eval_len_slots must be at most {sys.maxsize}")
     if not 0.0 <= config.retrain_trigger < 1.0:
         problems.append("retrain_trigger must be in [0, 1)")
-    if config.oracle_burst_slots < 1:
-        problems.append("oracle_burst_slots must be positive")
-    if config.oracle_cooldown_slots < 0:
-        problems.append("oracle_cooldown_slots must not be negative")
     if problems:
         raise ConfigError("; ".join(problems))

@@ -89,7 +89,9 @@ class BaseDefender:
         # Integer firing bound: fire iff more than W - ceil(threshold * W) of
         # the last W slots failed, that is iff the windowed ratio is below the
         # threshold; computed once so float rounding can never fire at exactly-threshold.
-        self._budget = window_slots - math.ceil(config.detection_threshold * window_slots - 1e-9)
+        # The threshold is positive, so a window with no delivery is always
+        # below it: at least one delivery is needed, however small threshold * W.
+        self._budget = window_slots - max(1, math.ceil(config.detection_threshold * window_slots - 1e-9))
 
     @property
     def pdr(self) -> float:

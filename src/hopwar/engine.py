@@ -36,13 +36,13 @@ import os
 import pickle
 import statistics
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .attacker import ATTACKERS, Jammer
-from .config import ConfigError, ScenarioConfig, validate
+from .config import ScenarioConfig, validate
 from .defender import DEFENDERS, BaseDefender
 from .metrics import RunMetrics, retx_energy, total_energy
 from .phy import resolve_slot
@@ -74,10 +74,11 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     """Simulate one run of a config ``validate`` accepts and return its metrics.
 
     The config is validated first, so a bad one raises ``ConfigError``.
-    ``seed`` defaults to ``config.seed``; one that is not a non-negative int
-    raises ``ConfigError`` too. With ``collect_trace`` the run also
-    keeps one (t_s, pdr, tx_channel, jam_channel, outcome) sample per
-    emission period for the timeseries CSV.
+    ``seed`` defaults to ``config.seed``; one given here is held to the rule
+    ``validate`` applies to that field, so a bad one raises ``ConfigError``
+    too, as does a bad ``config.seed`` whatever the argument. With
+    ``collect_trace`` the run also keeps one (t_s, pdr, tx_channel,
+    jam_channel, outcome) sample per emission period for the timeseries CSV.
 
     The slots run in segments cut at ``hop_enable_slot``, at
     ``attack_start_slot`` and, with ``collect_trace``, at the end of every
@@ -97,8 +98,8 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     validate(config)
     if seed is None:
         seed = config.seed
-    elif isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative int, got {seed!r}")
+    else:
+        validate(replace(config, seed=seed))
     def_rng = component_rng(seed, _DEFENDER_STREAM)
     att_rng = component_rng(seed, _ATTACKER_STREAM)
     phy_rng = component_rng(seed, _PHY_STREAM)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import filecmp
 import hashlib
 import json
+import math
 import random
 import re
 import statistics
@@ -27,12 +28,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hopwar.attacker import ATTACKERS
 from hopwar.bandit import ThompsonSampler
 from hopwar.config import ScenarioConfig
 from hopwar.engine import SUMMARY_HEADER, run_batch, summary_row
 from hopwar.metrics import retx_energy
 
-ATTACKERS = ["random", "reactive", "bandit", "phased", "oracle"]
 RUNS = 200
 CAMPAIGN_BUDGET_S = 180.0
 CAMPAIGN_GOLDEN = Path(__file__).parent / "golden" / "campaign.json"
@@ -282,6 +283,34 @@ def test_delivery_accounting_conserves_packets(versus_random_hopper, versus_adap
                 assert run.transmitted == run.delivered + run.jammed
                 assert run.retransmissions == run.jammed
                 assert 0.0 <= run.final_pdr <= 1.0
+
+
+def test_campaign_runs_match_their_closed_forms(versus_random_hopper, versus_adaptive_hopper):
+    # Every run of both campaigns, against values worked out from the config
+    # alone, not from hopwar's helpers: on the lossless link the oracle jams
+    # bursts of B slots with C silent slots between them, every emission on
+    # the victim's channel, and the uniform jammer hits the transmit channel
+    # with probability 1 / channels in each attack slot.
+    for batches, _ in (versus_random_hopper, versus_adaptive_hopper):
+        config = batches["oracle"].config
+        assert config.loss_prob == 0.0
+        attack_slots = round(config.sim_duration_s / config.slot_s) - round(config.attack_start_s / config.slot_s)
+        burst = config.oracle_burst_slots
+        full, rest = divmod(attack_slots, burst + config.oracle_cooldown_slots)
+        oracle_jams = full * burst + min(rest, burst)
+        # The detector fires on one failure more than its budget and then
+        # starts clean, so a burst one slot longer than the budget fires once,
+        # at its last slot, and a shorter tail burst never does.
+        window = config.detection_window_slots
+        failure_budget = window - math.ceil(config.detection_threshold * window)
+        assert burst == failure_budget + 1
+        expected_detections = oracle_jams // burst if config.defender == "random" else 0
+        for run in batches["oracle"].runs:
+            assert (run.jammed, run.detections) == (oracle_jams, expected_detections), (config.defender, run.seed)
+        p = 1.0 / config.num_channels
+        mean, sd = attack_slots * p, math.sqrt(attack_slots * p * (1.0 - p))
+        for run in batches["random"].runs:
+            assert abs(run.jammed - mean) <= 7.0 * sd, (config.defender, run.seed, run.jammed)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import re
+import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -111,6 +112,7 @@ def test_load_config_validates(tmp_path):
     "field,value",
     [
         ("num_channels", 0),
+        ("num_channels", 1),
         ("num_channels", MAX_CHANNELS + 1),
         ("num_channels", 2**64),
         ("slot_s", 0.0),
@@ -122,6 +124,7 @@ def test_load_config_validates(tmp_path):
         ("detection_threshold", 0.0),
         ("detection_threshold", 1.5),
         ("detection_window_slots", 0),
+        ("detection_window_slots", sys.maxsize + 1),
         ("detection_window_slots", 10**30),
         ("loss_prob", 1.0),
         ("attacker", "nuke"),
@@ -130,6 +133,7 @@ def test_load_config_validates(tmp_path):
         ("reactive_dwell_slots", 0),
         ("listen_len_slots", 0),
         ("eval_len_slots", 0),
+        ("eval_len_slots", sys.maxsize + 1),
         ("eval_len_slots", 10**30),
         ("retrain_trigger", 1.0),
         ("oracle_burst_slots", 0),
@@ -137,6 +141,8 @@ def test_load_config_validates(tmp_path):
         ("slot_s", float("nan")),
         ("attack_start_s", float("nan")),
         ("hop_enable_s", float("nan")),
+        ("attack_start_s", -0.1),
+        ("hop_enable_s", -0.1),
         ("sim_duration_s", float("inf")),
         ("p_idle_w", float("-inf")),
         ("p_idle_w", -1.0),
@@ -175,6 +181,22 @@ def test_validation_accepts_an_int_in_a_float_field():
 def test_validation_accepts_the_upper_limits():
     validate(ScenarioConfig(num_channels=MAX_CHANNELS, runs=MAX_RUNS))
     validate(ScenarioConfig(sim_duration_s=MAX_SLOTS * 0.1))
+    validate(ScenarioConfig(detection_window_slots=sys.maxsize, eval_len_slots=sys.maxsize))
+    # And every int field at its least value.
+    validate(
+        ScenarioConfig(
+            num_channels=2,
+            seed=0,
+            runs=1,
+            detection_window_slots=1,
+            idle_trigger_slots=1,
+            reactive_dwell_slots=1,
+            listen_len_slots=1,
+            eval_len_slots=1,
+            oracle_burst_slots=1,
+            oracle_cooldown_slots=0,
+        )
+    )
 
 
 def test_validation_rejects_slot_counts_that_overflow():

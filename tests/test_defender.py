@@ -52,6 +52,18 @@ def test_threshold_is_strict():
     assert d.hop_pending
 
 
+def test_a_window_without_a_delivery_fires_at_any_positive_threshold():
+    # At threshold * window <= 1e-9 the budget was the whole window, so a
+    # window of failures only (pdr 0.0, below the threshold) never fired.
+    d = make(window=10, threshold=1e-12)
+    assert d._budget == 9
+    for _ in range(9):
+        assert not d.record_and_detect(False)
+    assert d.pdr == pytest.approx(0.1)
+    assert d.record_and_detect(False)
+    assert d.detections == 1
+
+
 def test_detection_resets_the_window_to_clean():
     d = make()
     for _ in range(2):
@@ -95,7 +107,7 @@ class ReferenceDetector:
 
     def __init__(self, window, threshold):
         self.window = window
-        self.min_good = math.ceil(threshold * window - 1e-9)
+        self.min_good = max(1, math.ceil(threshold * window - 1e-9))
         self.outcomes = []
         self.detections = 0
 

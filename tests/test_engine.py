@@ -152,9 +152,12 @@ def test_a_run_takes_only_a_valid_config(bad):
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
 def test_a_run_takes_only_a_non_negative_int_seed(seed):
     # Unchecked, -1 raised numpy's ValueError, 1.5 and "7" a TypeError, and
-    # True ran as seed 1.
-    with pytest.raises(ConfigError, match="seed must be a non-negative int"):
+    # True ran as seed 1. The argument and the config field share one rule,
+    # and a good argument does not excuse a bad field.
+    with pytest.raises(ConfigError, match=r"^seed must be (int|at least 0)$"):
         run_scenario(short_config(), seed=seed)
+    with pytest.raises(ConfigError, match=r"^seed must be (int|at least 0)$"):
+        run_scenario(short_config(seed=seed), seed=7)
 
 
 def test_a_one_channel_run_is_refused_not_hung():
