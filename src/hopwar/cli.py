@@ -94,13 +94,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     written += [out_dir / f"run_{run.seed}.csv" for run in batch.runs if args.timeseries]
 
-    print(
-        f"{config.attacker} vs {config.defender}: runs={len(batch.runs)} "
-        f"mean_pdr={batch.mean_pdr:.4f} mean_success_rate={batch.mean_success_rate:.4f} "
-        f"mean_retransmissions={batch.mean_retransmissions:.1f} "
-        f"mean_detections={batch.mean_detections:.1f} "
-        f"mean_extra_energy_j={batch.mean_extra_energy_j:.4f} std_pdr={batch.std_pdr:.4f}"
-    )
+    aggregates = " ".join(f"{column}={value:.4f}" for column, value in batch.summary().items())
+    print(f"{config.attacker} vs {config.defender}: runs={len(batch.runs)} {aggregates}")
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -174,11 +174,12 @@ def validate(config: ScenarioConfig) -> None:
     ]
     if non_finite:
         raise ConfigError(f"must be finite: {', '.join(non_finite)}")
+    # The 1.0 is the trace's emission period, round(1 / slot_s) slots.
     if config.slot_s > 0 and not all(
         math.isfinite(seconds / config.slot_s)
-        for seconds in (config.sim_duration_s, config.attack_start_s, config.hop_enable_s)
+        for seconds in (config.sim_duration_s, config.attack_start_s, config.hop_enable_s, 1.0)
     ):
-        raise ConfigError("slot counts overflow: durations are too long for slot_s")
+        raise ConfigError("slot counts overflow: slot_s is too short for the durations or the 1 s trace period")
     problems = []
     for key, (least, most) in _INT_BOUNDS.items():
         value = getattr(config, key)

@@ -210,40 +210,40 @@ class _Silent(Jammer):
 _SILENT = _Silent()
 
 
+# Each mean column of summary.csv and the RunMetrics value it averages over a
+# batch's runs. The pdr's population standard deviation, std_pdr, follows them.
+SUMMARY_MEANS = {
+    "mean_pdr": "final_pdr",
+    "mean_success_rate": "success_rate",
+    "mean_retransmissions": "retransmissions",
+    "mean_detections": "detections",
+    "mean_extra_energy_j": "extra_energy_j",
+}
+
+SUMMARY_HEADER = ["attacker", "defender", "runs", *SUMMARY_MEANS, "std_pdr"]
+
+
 @dataclass
 class BatchResult:
-    """A batch of runs of one (attacker, defender) pairing."""
+    """A batch of runs of one (attacker, defender) pairing.
+
+    Its aggregates are computed on demand from ``runs``: ``mean`` for any
+    ``RunMetrics`` value, ``summary`` for the aggregate columns of
+    ``summary.csv``.
+    """
 
     config: ScenarioConfig
     runs: list[RunMetrics]
 
-    @property
-    def seeds(self) -> list[int]:
-        return [r.seed for r in self.runs]
+    def mean(self, field: str) -> float:
+        """The mean over the runs of the ``RunMetrics`` value ``field`` names, e.g. ``"final_pdr"``."""
+        return statistics.fmean(getattr(run, field) for run in self.runs)
 
-    @property
-    def mean_pdr(self) -> float:
-        return statistics.fmean(r.final_pdr for r in self.runs)
-
-    @property
-    def std_pdr(self) -> float:
-        return statistics.pstdev(r.final_pdr for r in self.runs)
-
-    @property
-    def mean_success_rate(self) -> float:
-        return statistics.fmean(r.success_rate for r in self.runs)
-
-    @property
-    def mean_retransmissions(self) -> float:
-        return statistics.fmean(r.retransmissions for r in self.runs)
-
-    @property
-    def mean_detections(self) -> float:
-        return statistics.fmean(r.detections for r in self.runs)
-
-    @property
-    def mean_extra_energy_j(self) -> float:
-        return statistics.fmean(r.extra_energy_j for r in self.runs)
+    def summary(self) -> dict[str, float]:
+        """The aggregate columns of ``SUMMARY_HEADER`` by name, in order: the means, then ``std_pdr``."""
+        summary = {column: self.mean(field) for column, field in SUMMARY_MEANS.items()}
+        summary["std_pdr"] = statistics.pstdev(run.final_pdr for run in self.runs)
+        return summary
 
 
 def run_batch(config: ScenarioConfig, finish=None) -> BatchResult:
@@ -370,28 +370,13 @@ def _child_main(write_fd: int, work) -> None:
         os._exit(status)
 
 
-SUMMARY_HEADER = [
-    "attacker",
-    "defender",
-    "runs",
-    "mean_pdr",
-    "mean_success_rate",
-    "mean_retransmissions",
-    "mean_detections",
-    "mean_extra_energy_j",
-    "std_pdr",
-]
-
 TIMESERIES_HEADER = ["t_s", "pdr", "tx_channel", "jam_channel", "outcome"]
 
 
 def summary_row(batch: BatchResult) -> list:
-    """The batch aggregate row under ``SUMMARY_HEADER``, floats as ``repr``.
-
-    Each float column is named after the ``BatchResult`` property it reads.
-    """
+    """The batch's row under ``SUMMARY_HEADER``: the pairing, the run count, then ``summary()``'s values as ``repr``."""
     return [batch.config.attacker, batch.config.defender, len(batch.runs)] + [
-        repr(getattr(batch, name)) for name in SUMMARY_HEADER[3:]
+        repr(value) for value in batch.summary().values()
     ]
 
 

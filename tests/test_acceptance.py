@@ -61,8 +61,8 @@ def render_campaigns(*campaigns) -> str:
             rows = "\n".join(repr(run.as_row()) for run in batch.runs)
             pinned[f"{attacker} vs {batch.config.defender}"] = {
                 "summary": dict(zip(SUMMARY_HEADER, summary_row(batch))),
-                "mean_hops": repr(statistics.fmean(run.hops for run in batch.runs)),
-                "mean_total_energy_j": repr(statistics.fmean(run.total_energy_j for run in batch.runs)),
+                "mean_hops": repr(batch.mean("hops")),
+                "mean_total_energy_j": repr(batch.mean("total_energy_j")),
                 "rows_sha256": hashlib.sha256(rows.encode()).hexdigest(),
             }
     return json.dumps(pinned, indent=1) + "\n"
@@ -140,8 +140,8 @@ def test_retransmission_energy_model():
 
 def test_campaign_against_random_hopper(versus_random_hopper):
     batches, elapsed = versus_random_hopper
-    pdr = {name: batch.mean_pdr for name, batch in batches.items()}
-    rate = {name: batch.mean_success_rate for name, batch in batches.items()}
+    pdr = {name: batch.mean("final_pdr") for name, batch in batches.items()}
+    rate = {name: batch.mean("success_rate") for name, batch in batches.items()}
     problems = []
     ranked = ["oracle", "bandit", "phased", "reactive", "random"]
     for weaker, stronger in zip(ranked[1:], ranked):
@@ -169,9 +169,9 @@ def test_campaign_against_random_hopper(versus_random_hopper):
 
 def test_campaign_against_adaptive_hopper(versus_adaptive_hopper):
     batches, elapsed = versus_adaptive_hopper
-    pdr = {name: batch.mean_pdr for name, batch in batches.items()}
-    rate = {name: batch.mean_success_rate for name, batch in batches.items()}
-    retx = {name: batch.mean_retransmissions for name, batch in batches.items()}
+    pdr = {name: batch.mean("final_pdr") for name, batch in batches.items()}
+    rate = {name: batch.mean("success_rate") for name, batch in batches.items()}
+    retx = {name: batch.mean("retransmissions") for name, batch in batches.items()}
     problems = []
     if pdr["random"] < 0.97:
         problems.append(f"random-attacker mean pdr {pdr['random']:.4f} < 0.97")

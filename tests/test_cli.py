@@ -36,8 +36,11 @@ def test_run_writes_summary(config_file, tmp_path, capsys):
     lines = (out / "summary.csv").read_text().splitlines()
     assert lines[0] == ",".join(SUMMARY_HEADER)
     assert lines[1].startswith("oracle,random,2,")
+    # The stdout line repeats every aggregate column of summary.csv to 4 places.
     stdout = capsys.readouterr().out
-    assert "mean_pdr" in stdout
+    columns, values = lines[0].split(",")[3:], lines[1].split(",")[3:]
+    aggregates = " ".join(f"{column}={float(value):.4f}" for column, value in zip(columns, values))
+    assert stdout.splitlines()[0] == f"oracle vs random: runs=2 {aggregates}"
     assert "wrote" in stdout
 
 
@@ -292,6 +295,16 @@ FUZZ_WORK_LIMIT = 20_000
 @given(chunks=st.lists(st.one_of(CONFIG_LINES, st.binary(max_size=6)), max_size=5))
 @example(chunks=[b"attacker = random\xff"])
 @example(chunks=[b"sim_duration_s = 60", b"\xc3(", b"runs = 2"])
+@example(
+    chunks=[
+        b"slot_s = 5e-324",
+        b"sim_duration_s = 5e-324",
+        b"attack_start_s = 0",
+        b"hop_enable_s = 0",
+        b"t_tx_data_s = 0",
+        b"t_rx_ack_s = 0",
+    ]
+)
 def test_fuzzed_config_file_exits_0_or_1_without_a_traceback(chunks):
     data = b"\n".join(chunks)
     with tempfile.TemporaryDirectory() as tmp:

@@ -202,6 +202,12 @@ def test_validation_accepts_the_upper_limits():
 def test_validation_rejects_slot_counts_that_overflow():
     with pytest.raises(ConfigError, match="overflow"):
         validate(ScenarioConfig(sim_duration_s=1e300, slot_s=1e-10))
+    # Every duration fits, but the trace period, round(1 / slot_s) slots, does not.
+    tiny = ScenarioConfig(
+        slot_s=5e-324, sim_duration_s=5e-324, attack_start_s=0, hop_enable_s=0, t_tx_data_s=0, t_rx_ack_s=0
+    )
+    with pytest.raises(ConfigError, match="overflow"):
+        validate(tiny)
 
 
 def test_energy_knobs_reach_both_formulas():
@@ -283,7 +289,7 @@ SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "scenario.cfg"
 
 
 def test_shipped_example_config_loads_and_shows_real_defaults():
-    load_config(SHIPPED_CONFIG)
+    assert load_config(SHIPPED_CONFIG) == ScenarioConfig(attacker="bandit", defender="smart", seed=7, runs=20)
     defaults = ScenarioConfig()
     commented = re.findall(r"^#\s*(\w+)\s*=\s*(\S+)", SHIPPED_CONFIG.read_text(), re.MULTILINE)
     assert commented

@@ -24,6 +24,7 @@ from hopwar.engine import (
     make_attacker,
     run_batch,
     run_scenario,
+    summary_row,
 )
 from hopwar.metrics import RunMetrics, retx_energy
 from hopwar.phy import resolve_slot
@@ -186,7 +187,7 @@ def test_run_batch_counts_and_seed_layout():
     cfg = short_config(runs=5, seed=100)
     batch = run_batch(cfg)
     assert len(batch.runs) == 5
-    assert batch.seeds == [100, 101, 102, 103, 104]
+    assert [run.seed for run in batch.runs] == [100, 101, 102, 103, 104]
     assert all(run.trace is None for run in batch.runs)
 
 
@@ -200,7 +201,7 @@ def test_run_batch_equals_per_seed_runs_on_any_core_count(monkeypatch, cores):
     usable_cores(monkeypatch, cores)
     cfg = short_config(runs=5, seed=40, attacker="bandit", defender="smart", sim_duration_s=30.0)
     batch = run_batch(cfg, finish=lambda run: run)
-    assert batch.seeds == [40, 41, 42, 43, 44]
+    assert [run.seed for run in batch.runs] == [40, 41, 42, 43, 44]
     for got in batch.runs:
         want = run_scenario(cfg, seed=got.seed, collect_trace=True)
         assert got.as_row() == want.as_row()
@@ -261,7 +262,7 @@ def test_single_run_batch_never_forks(monkeypatch):
         raise AssertionError("run_batch forked for a single run")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert run_batch(short_config(runs=1)).seeds == [7]
+    assert [run.seed for run in run_batch(short_config(runs=1)).runs] == [7]
 
 
 REAL_CORES = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
@@ -334,11 +335,28 @@ def test_a_refused_restore_raises_once_every_child_is_waited_for(monkeypatch):
 def test_batch_aggregates_match_the_runs():
     cfg = short_config(runs=3, attacker="oracle", oracle_burst_slots=10, oracle_cooldown_slots=10)
     batch = run_batch(cfg)
-    pdrs = [r.final_pdr for r in batch.runs]
-    assert batch.mean_pdr == pytest.approx(sum(pdrs) / 3)
-    assert batch.mean_retransmissions == pytest.approx(
-        sum(r.retransmissions for r in batch.runs) / 3
-    )
+    rows = [run.as_row() for run in batch.runs]
+
+    def mean(key):
+        return sum(row[key] for row in rows) / 3
+
+    pdr = mean("final_pdr")
+    # Each aggregate column and its value, worked out from the runs' rows.
+    expected = {
+        "mean_pdr": pdr,
+        "mean_success_rate": mean("success_rate"),
+        "mean_retransmissions": mean("retransmissions"),
+        "mean_detections": mean("detections"),
+        "mean_extra_energy_j": mean("extra_energy_j"),
+        "std_pdr": (sum((row["final_pdr"] - pdr) ** 2 for row in rows) / 3) ** 0.5,
+    }
+    row = summary_row(batch)
+    assert SUMMARY_HEADER[:3] == ["attacker", "defender", "runs"]
+    assert row[:3] == ["oracle", "random", 3]
+    assert SUMMARY_HEADER[3:] == list(expected)
+    for column, value in zip(SUMMARY_HEADER[3:], row[3:]):
+        assert float(value) == pytest.approx(expected[column]), column
+    assert batch.mean("hops") == pytest.approx(mean("hops"))
 
 
 def test_emit_summary_layout(tmp_path):
@@ -576,9 +594,30 @@ def test_run_batch_gives_the_same_runs_on_one_and_two_cores(attacker, defender, 
             usable_cores(patch, cores)
             batches.append(run_batch(config, finish=lambda run: run))
     one, two = batches
-    assert one.seeds == two.seeds
+    assert [run.seed for run in one.runs] == [run.seed for run in two.runs]
     assert [run.as_row() for run in one.runs] == [run.as_row() for run in two.runs]
     assert [run.trace for run in one.runs] == [run.trace for run in two.runs]
+
+
+def test_runs_do_not_depend_on_run_order():
+    # A run is a pure function of (config, seed): playing the same runs again
+    # in one process, in reverse and interleaved across pairings, so that each
+    # run follows runs of other pairings and seeds, changes no byte.
+    pairings = [short_config(attacker=attacker, defender=defender) for attacker in ATTACKERS for defender in DEFENDERS]
+    seeds = (1, 2, 3)
+
+    def play(pairing, seed):
+        run = run_scenario(pairings[pairing], seed=seed, collect_trace=True)
+        return run.as_row(), run.trace
+
+    in_order = {(pairing, seed): play(pairing, seed) for pairing in range(len(pairings)) for seed in seeds}
+    shuffled = {
+        (pairing, seed): play(pairing, seed) for seed in reversed(seeds) for pairing in reversed(range(len(pairings)))
+    }
+    assert list(shuffled) != list(in_order)
+    for key, (row, trace) in in_order.items():
+        assert shuffled[key][0] == row, key
+        assert shuffled[key][1] == trace, key
 
 
 # --- fast-forwarded quiet stretches against the per-slot loop -----------------
