@@ -72,6 +72,16 @@ class BaseDefender:
     which commits the slot's channel given the channel the attacker emitted
     on in the previous slot (None when it was silent), and may react to a
     detection in ``_on_detection``.
+
+    After a delivered slot, while every slot delivers with the attacker
+    silent, a run of slots can be played at once. ``steady(limit)`` says how
+    many of the coming slots, at most ``limit``, leave the node on its
+    channel; ``skip(slots)`` plays that many of them, as ``advance(None)``
+    and ``record_and_detect(True)`` would one by one; and
+    ``record_deliveries(slots)`` plays them for a node held on its channel,
+    whose ``advance`` is not called, as ``record_and_detect(True)`` alone
+    would. The base versions fit a policy that moves only after a failure:
+    the node stays put and its clock ticks.
     """
 
     def __init__(self, config, rng: np.random.Generator) -> None:
@@ -127,6 +137,18 @@ class BaseDefender:
     def _on_detection(self) -> None:
         """The policy's reaction to a detection: none unless overridden."""
 
+    def steady(self, limit: int) -> int:
+        """How many of the coming delivered slots, at most ``limit``, leave the node on its channel."""
+        return limit
+
+    def skip(self, slots: int) -> None:
+        """Play ``slots`` delivered slots that ``steady`` allowed at once."""
+        self.record_deliveries(slots)
+
+    def record_deliveries(self, slots: int) -> None:
+        """Record ``slots`` deliveries on the channel at once, after a delivered slot there."""
+        self._now += slots
+
 
 class RandomDefender(BaseDefender):
     """Parks on a channel until the detector fires, then hops at random.
@@ -135,10 +157,9 @@ class RandomDefender(BaseDefender):
     random channel other than the one the attacker was last sensed on.
 
     A delivery only ticks its clock, and only a failure can ask for a hop,
-    so after a delivered slot a run of slots the attacker is silent in, with
-    no random loss, leaves it on its channel with nothing but its clock
-    moved. ``skip`` plays such a run at once, which lets the engine
-    fast-forward an attacker's quiet stretch.
+    so the base ``steady`` and ``skip`` fit it: after a delivered slot, a
+    run of delivered slots leaves it on its channel with nothing but its
+    clock moved.
     """
 
     def __init__(self, config, rng: np.random.Generator) -> None:
@@ -147,10 +168,6 @@ class RandomDefender(BaseDefender):
 
     def _on_detection(self) -> None:
         self.hop_pending = True
-
-    def skip(self, slots: int) -> None:
-        """Record ``slots`` deliveries at once: the clock ticks, nothing else moves."""
-        self._now += slots
 
     def advance(self, avoid: int | None = None) -> int:
         """Commit this slot's channel, hopping first if a detection asked to."""
@@ -170,10 +187,16 @@ class SmartDefender(BaseDefender):
     ``_succ[c]`` / ``_fail[c]`` hold channel ``c``'s tallies as of slot
     ``_stamp[c]`` (slots recorded so far, ``_now``); a tally ``v`` stands for
     ``v * decay ** (_now - _stamp[c])`` today. ``_coins`` holds the unspent
-    rest of the current block of probe coins, last coin first. The node is
+    probe coins of the blocks drawn so far, last coin first. The node is
     on a probe visit exactly when ``channel != home``: a visit goes to
     ``probe_target``, which is never the home, and every other slot is
     spent at home.
+
+    After a delivered slot at home its flee streak is 0, so until its rehome
+    timer fires or, while it has a channel to sound, a coin sends it on a
+    probe visit, each delivered slot only runs the timer, spends a coin and
+    folds a one-slot-old delivery into the home tallies. ``steady`` reads
+    that horizon ahead and ``skip`` plays it at once.
     """
 
     def __init__(self, config, rng: np.random.Generator) -> None:
@@ -244,6 +267,52 @@ class SmartDefender(BaseDefender):
         self.channel = self.home
         self._reset_window()
         return self.channel
+
+    def steady(self, limit: int) -> int:
+        """How many of the coming delivered slots, at most ``limit``, stay at home.
+
+        Zero on a probe visit. Coins are the node's only draws, so reading
+        them ahead moves nothing: a block drawn here, once the horizon runs
+        past the unspent coins, goes in front of them, where ``advance``
+        would have drawn it.
+        """
+        if self.channel != self.home:
+            return 0
+        horizon = min(limit, SMART_REHOME_SLOTS - 1 - self._since_home)
+        if self.probe_target is None or self.probe_target == self.home:
+            return horizon
+        coins = self._coins
+        for run in range(horizon):
+            if run == len(coins):
+                coins[:0] = self._rng.random(SMART_COIN_BLOCK).tolist()[::-1]
+            if coins[-1 - run] < SMART_PROBE_PROB:
+                return run
+        return horizon
+
+    def skip(self, slots: int) -> None:
+        """Play ``slots`` delivered slots at home that ``steady`` allowed: the timer runs and each spends its coin."""
+        self._since_home += slots
+        if self.probe_target is not None and self.probe_target != self.home:
+            del self._coins[len(self._coins) - slots :]
+        self.record_deliveries(slots)
+
+    def record_deliveries(self, slots: int) -> None:
+        """Record ``slots`` deliveries on the channel at once, after a delivered slot there.
+
+        Each delivery is one slot old when folded in, so the channel's
+        tallies take ``record_and_detect``'s age-1 multiply-add, replayed
+        slot by slot for the same floats.
+        """
+        channel = self.channel
+        succ, fail = self._succ[channel], self._fail[channel]
+        success_decay, failure_decay = _SUCCESS_DECAY_POW[1], _FAILURE_DECAY_POW[1]
+        for _ in range(slots):
+            succ = succ * success_decay + 1.0
+            fail = fail * failure_decay
+        self._succ[channel] = succ
+        self._fail[channel] = fail
+        self._now += slots
+        self._stamp[channel] = self._now
 
     def record_and_detect(self, delivered: bool) -> bool:
         """Count the slot in the detector, then fold it into the decayed evidence.

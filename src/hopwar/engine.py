@@ -8,15 +8,16 @@ attacker gets its sensing feedback. Detections therefore take effect at the
 start of the next slot, and the attacker's knowledge always trails the slot
 it acted in. A run keeps counters, not per-slot series.
 
-Slots are played one by one, except a quiet stretch against the random
-hopper in a lossless run: after a slot the attacker was silent in, the
-jammer's ``quiet`` plays the slots it stays silent for in closed form and
-the defender's ``skip`` ticks its clock over them, so they cost O(1)
-together. Without random loss a silent slot is sure to deliver and draws
-nothing, a delivery leaves the random hopper on its channel with only its
-clock moved, and ``quiet`` leaves the jammer as the slots would, so no
-output changes. The smart defender changes state every slot and a lossy
-slot draws the phy's generator, so those runs play every slot. Only the
+Slots are played one by one, except a quiet stretch in a lossless run:
+after a delivered slot the attacker was silent in, the defender's
+``steady`` says how many coming slots leave it on its channel, the jammer's
+``quiet`` plays the slots it stays silent for within them in closed form,
+and the defender's ``skip`` plays those at once. Without random loss a
+silent slot is sure to deliver and draws nothing, and ``quiet`` and
+``skip`` leave jammer and defender as the slots would, so no output
+changes: the random hopper only ticks its clock, the smart one runs its
+rehome timer, spends its probe coins and replays its home tallies. A lossy
+slot draws the phy's generator, so lossy runs play every slot. Only the
 slots played one by one call ``step``, ``observe``, ``advance`` and
 ``record_and_detect``.
 
@@ -88,12 +89,13 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     per-slot loop tests no slot number. Each slot hands the defender the
     previous slot's emission and the attacker the slot's transmit channel.
 
-    When a slot ends with the attacker silent, ``loss_prob`` is 0 and the
-    defender has ``skip`` (the random hopper), the rest of the attacker's
-    quiet stretch within the segment is fast-forwarded: ``quiet`` plays it
-    in the jammer, and its slots are added to ``delivered`` and to the
-    defender's clock at once. A stretch never crosses a segment cut, so
-    phase starts and trace samples see the slots they would see otherwise.
+    When a slot ends with the attacker silent and ``loss_prob`` is 0, the
+    rest of the attacker's quiet stretch within the segment and the
+    defender's ``steady`` horizon is fast-forwarded: ``quiet`` plays it in
+    the jammer, the defender's ``skip`` plays it in the defender, or its
+    ``record_deliveries`` while hopping is held, and its slots are added to
+    ``delivered`` at once. A stretch never crosses a segment cut, so phase
+    starts and trace samples see the slots they would see otherwise.
     """
     validate(config)
     if seed is None:
@@ -136,17 +138,20 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
 
     resolve = resolve_slot
     record = defender.record_and_detect
+    steady = defender.steady
     observe = attacker.observe
-    # Quiet stretches are fast-forwarded only where a silent slot is sure to
-    # deliver and to leave the defender as it was but for its clock.
-    skip = getattr(defender, "skip", None) if loss_prob == 0.0 else None
+    # Quiet stretches are fast-forwarded only where a silent slot is sure to deliver.
+    lossless = loss_prob == 0.0
 
     # Slots played so far.
     slot = 0
     for stop in stops:
         if stop <= slot:
             continue
-        advance = defender.advance if slot >= hop_enable else hold
+        if slot >= hop_enable:
+            advance, skip = defender.advance, defender.skip
+        else:
+            advance, skip = hold, defender.record_deliveries
         agent = attacker if slot >= attack_start else _SILENT
         step = agent.step
         quiet = agent.quiet
@@ -168,10 +173,11 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
                         jammed += 1
                 if sense is not None:
                     observe(sense == tx)
-                if emit is None and skip is not None:
-                    # A delivered silent slot: the victim stays on tx and the
-                    # send queue stays empty for as long as the attacker is quiet.
-                    run = quiet(tx, stop - slot)
+                if emit is None and lossless:
+                    # A delivered silent slot: the victim stays on tx for its
+                    # steady horizon and the send queue stays empty for as
+                    # long as the attacker is quiet.
+                    run = quiet(tx, steady(stop - slot))
                     if run:
                         delivered += run
                         skip(run)

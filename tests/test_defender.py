@@ -1,9 +1,11 @@
+import copy
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopwar import engine
@@ -12,6 +14,7 @@ from hopwar.config import ScenarioConfig
 from hopwar.defender import (
     DEFENDERS,
     SMART_AVOID_RECENT,
+    SMART_COIN_BLOCK,
     SMART_DECAY_TABLE_LEN,
     SMART_FAILURE_DECAY,
     SMART_FLEE_STREAK,
@@ -323,11 +326,21 @@ class EagerCheckedSmartDefender(SmartDefender):
         self.eager_fail = [0.0] * self.num_channels
         self.homes_left: list[int] = []
 
-    def record_and_detect(self, delivered: bool) -> bool:
+    def _record_eagerly(self, delivered: bool) -> None:
         self.eager_succ = [s * SMART_SUCCESS_DECAY for s in self.eager_succ]
         self.eager_fail = [f * SMART_FAILURE_DECAY for f in self.eager_fail]
         (self.eager_succ if delivered else self.eager_fail)[self.channel] += 1.0
+
+    def record_and_detect(self, delivered: bool) -> bool:
+        self._record_eagerly(delivered)
         return super().record_and_detect(delivered)
+
+    def record_deliveries(self, slots: int) -> None:
+        # Every fast-forwarded stretch ends here, whether ``skip`` played it
+        # or hopping was held: the eager tallies take its slots one by one.
+        for _ in range(slots):
+            self._record_eagerly(True)
+        super().record_deliveries(slots)
 
     def _move_home(self) -> int:
         self.homes_left.append(self.home)
@@ -398,6 +411,152 @@ def test_probe_coins_drawn_in_blocks_decide_as_scalar_draws_do():
         d.record_and_detect(outcomes.random() >= (0.5 if ch < 4 else 0.05))
     assert coins > 10 * 64
     assert probes > 100
+
+
+# --- steady and skip: delivered slots played at once ---------------------------
+
+
+def state(d, ahead=3 * SMART_COIN_BLOCK):
+    """A copy of the defender's attributes, its coins and generator read as the next ``ahead`` coins it would spend.
+
+    ``steady`` may draw a block before the slots one by one would, so the
+    unspent coins and the generator's state can differ where the stream of
+    coins to come is the same.
+    """
+    attrs = {name: copy.copy(value) for name, value in vars(d).items() if name not in ("_rng", "_coins")}
+    attrs["coins ahead"] = (d._coins[::-1] + copy.deepcopy(d._rng).random(ahead).tolist())[:ahead]
+    return attrs
+
+
+def delivered_states(d, most, held=False):
+    """The defender's state after each of its next delivered slots, at most ``most``, played one by one.
+
+    Entry ``k`` is the state after ``k`` slots of ``advance()`` (none while
+    ``held``) then ``record_and_detect(True)``; the list stops before the
+    first slot whose ``advance`` changes the channel or moves home, which
+    may pick the channel a probe visit is on.
+    """
+    d = copy.deepcopy(d)
+    states = [state(d)]
+    while len(states) <= most:
+        channel, hops = d.channel, d.hops
+        if not held and (d.advance() != channel or d.hops != hops):
+            break
+        d.record_and_detect(True)
+        states.append(state(d))
+    return states
+
+
+TALLY = st.floats(0.0, 1e6)
+# A channel's (success tally, failure tally, slots since it was last recorded on).
+CHANNEL_TALLIES = st.lists(st.tuples(TALLY, TALLY, st.integers(0, 2 * SMART_DECAY_TABLE_LEN)), min_size=8, max_size=8)
+# Unspent coins, in the order they are spent.
+COINS = st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=SMART_COIN_BLOCK)
+
+
+def after_a_delivery(channels, seed, tallies, coins, home=0, since_home=0, target=None, window=20, failures=()):
+    """A smart defender just after a delivered slot on its channel, from drawn parts.
+
+    ``target`` is None, ``"home"``, ``"away"`` (a channel to sound) or
+    ``"visit"`` (the slot was a probe visit that cleared its channel).
+    ``failures`` are the failed slots still in the detector, as ages.
+    """
+    config = ScenarioConfig(num_channels=channels, detection_window_slots=window)
+    d = SmartDefender(config, np.random.default_rng(seed))
+    d._now = now = 1000
+    d._succ = [succ for succ, _, _ in tallies[:channels]]
+    d._fail = [fail for _, fail, _ in tallies[:channels]]
+    d._stamp = [now - age for _, _, age in tallies[:channels]]
+    d._failures = deque(sorted(now - age for age in set(failures) if age < window)[-d._budget :])
+    d._coins = coins[::-1]
+    d.home = d.channel = home % channels
+    d._since_home = since_home
+    away = (d.home + 1) % channels
+    d.probe_target = {None: None, "home": d.home, "away": away, "visit": None}[target]
+    if target == "visit":
+        d.channel = away
+    # The slot just recorded on the channel, a delivery.
+    d._stamp[d.channel] = now
+    d._succ[d.channel] += 1.0
+    return d
+
+
+@settings(max_examples=200)
+@given(
+    channels=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    tallies=CHANNEL_TALLIES,
+    coins=COINS,
+    home=st.integers(0, 7),
+    since_home=st.integers(0, SMART_REHOME_SLOTS - 1),
+    target=st.sampled_from((None, "home", "away", "visit")),
+    failures=st.lists(st.integers(0, 30), max_size=6),
+    limit=st.integers(0, 2 * SMART_REHOME_SLOTS),
+)
+# A probe coin inside the horizon: the fourth coin sends the node away.
+@example(
+    channels=4, seed=1, tallies=[(2.0, 1.0, 1)] * 8, coins=[0.5, 0.2, 0.9, 0.01, 0.3],
+    home=1, since_home=3, target="away", failures=[], limit=60,
+)
+# A rehome at the horizon's end: no channel to sound, five slots left on the timer.
+@example(
+    channels=12, seed=2, tallies=[(5.0, 0.5, 3)] * 8, coins=[],
+    home=5, since_home=SMART_REHOME_SLOTS - 6, target="home", failures=[2, 9], limit=60,
+)
+# The coin block runs out mid-stretch: three coins left, all above the probe
+# probability, and the stretch runs 24 slots on into a block drawn ahead.
+@example(
+    channels=6, seed=8, tallies=[(1.0, 3.0, 400)] * 8, coins=[0.7, 0.8, 0.9],
+    home=2, since_home=0, target="away", failures=[], limit=2 * SMART_REHOME_SLOTS,
+)
+# A probe visit: no slot can be skipped.
+@example(
+    channels=3, seed=4, tallies=[(0.0, 0.0, 0)] * 8, coins=[0.9] * 10,
+    home=0, since_home=7, target="visit", failures=[1], limit=30,
+)
+def test_steady_and_skip_are_delivered_slots_played_one_by_one(
+    channels, seed, tallies, coins, home, since_home, target, failures, limit
+):
+    d = after_a_delivery(channels, seed, tallies, coins, home, since_home, target, failures=failures)
+    states = delivered_states(d, limit)
+    # The horizon is exact: the slot after it moves the node, unless ``limit`` cut it.
+    run = copy.deepcopy(d).steady(limit)
+    assert run == len(states) - 1
+    assert run == 0 or target != "visit"
+    for played in range(run + 1):
+        fast = copy.deepcopy(d)
+        assert fast.steady(limit) == run
+        fast.skip(played)
+        assert state(fast) == states[played], played
+
+
+@settings(max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tallies=CHANNEL_TALLIES,
+    coins=COINS,
+    target=st.sampled_from((None, "home")),
+    failures=st.lists(st.integers(0, 30), max_size=6),
+    slots=st.integers(0, 3 * SMART_REHOME_SLOTS),
+)
+def test_a_held_defender_records_deliveries_as_one_by_one(seed, tallies, coins, target, failures, slots):
+    # Before hopping starts the node sits on channel 0, its timer never runs,
+    # and its only channel to sound is its home; its stretch only records.
+    d = after_a_delivery(6, seed, tallies, coins, target=target, failures=failures)
+    states = delivered_states(d, slots, held=True)
+    for played in range(slots + 1):
+        fast = copy.deepcopy(d)
+        fast.record_deliveries(played)
+        assert state(fast) == states[played], played
+
+
+@pytest.mark.parametrize("limit", [0, 1, 30, 10**6])
+def test_the_random_hopper_stays_for_any_limit(limit):
+    d = make(window=4)
+    d.record_and_detect(True)
+    assert d.steady(limit) == limit
+    d.skip(limit)
+    assert (d.channel, d.hops, d._now, d.hop_pending) == (0, 0, 1 + limit, False)
 
 
 def test_execute_hop_clears_pending_and_counts():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hopwar import cli, engine
 from hopwar.attacker import ATTACKERS, Jammer
 from hopwar.config import ConfigError, ScenarioConfig, validate
-from hopwar.defender import DEFENDERS, RandomDefender
+from hopwar.defender import DEFENDERS, SMART_REHOME_SLOTS, BaseDefender, SmartDefender
 from hopwar.engine import (
     SUMMARY_HEADER,
     TIMESERIES_HEADER,
@@ -624,7 +624,7 @@ def test_runs_do_not_depend_on_run_order():
 
 
 class FastForward(NamedTuple):
-    """What one run fast-forwarded: ``quiet`` calls and, per ``skip``, (slots recorded before it, slots skipped)."""
+    """What one run fast-forwarded: ``quiet`` calls and, per stretch, (slots recorded before it, slots in it)."""
 
     quiet_calls: list
     skips: list
@@ -632,7 +632,11 @@ class FastForward(NamedTuple):
 
 @pytest.fixture
 def fast_forward(monkeypatch):
-    """Record every ``quiet`` call of any jammer and every ``RandomDefender.skip``."""
+    """Record every ``quiet`` call of any jammer and every stretch any defender records at once.
+
+    Every stretch passes through the defender's ``record_deliveries``:
+    ``skip`` ends in it, and a held defender's stretch is only that.
+    """
     seen = FastForward([], [])
     for cls in {Jammer, type(engine._SILENT), *ATTACKERS.values()}:
         if "quiet" in vars(cls):
@@ -642,22 +646,23 @@ def fast_forward(monkeypatch):
                 return _quiet(self, victim_channel, limit)
 
             monkeypatch.setattr(cls, "quiet", quiet)
-    skip = RandomDefender.skip
+    for cls in {BaseDefender, *DEFENDERS.values()}:
+        if "record_deliveries" in vars(cls):
 
-    def counted_skip(self, slots):
-        seen.skips.append((self._now, slots))
-        skip(self, slots)
+            def record_deliveries(self, slots, _record=vars(cls)["record_deliveries"]):
+                seen.skips.append((self._now, slots))
+                _record(self, slots)
 
-    monkeypatch.setattr(RandomDefender, "skip", counted_skip)
+            monkeypatch.setattr(cls, "record_deliveries", record_deliveries)
     return seen
 
 
-# Lossless runs against the random hopper, each with a phase start inside a
-# quiet stretch; at 0.1 s slots every tenth slot ends a trace period, inside
-# stretches too. Detections come after five failures in 20 slots.
+# Lossless runs, each with a phase start inside a quiet stretch; at 0.1 s
+# slots every tenth slot ends a trace period, inside stretches too.
+# Detections come after five failures in 20 slots.
 QUIET_RUNS = {
-    # Cooldown over slots 5-54: the burst's fifth jam asks for a hop at slot
-    # 4, while hopping is held until slot 30.
+    # Cooldown over slots 5-54: the burst's fifth jam asks the random hopper
+    # for a hop at slot 4, while hopping is held until slot 30.
     "oracle": dict(
         attacker="oracle", attack_start_s=0.0, hop_enable_s=3.0, oracle_burst_slots=5, oracle_cooldown_slots=50
     ),
@@ -678,23 +683,74 @@ def quiet_run_config(name, **changes):
 
 
 @pytest.mark.parametrize("collect_trace", [False, True], ids=["untraced", "traced"])
-@pytest.mark.parametrize("name", list(QUIET_RUNS))
-def test_fast_forwarded_runs_equal_the_per_slot_loop(fast_forward, name, collect_trace):
-    config = quiet_run_config(name)
+@pytest.mark.parametrize(
+    "name, changes",
+    [(name, {}) for name in QUIET_RUNS] + [(name, dict(defender="smart")) for name in QUIET_RUNS],
+    ids=list(QUIET_RUNS) + [f"{name}-smart-defender" for name in QUIET_RUNS],
+)
+def test_fast_forwarded_runs_equal_the_per_slot_loop(fast_forward, name, changes, collect_trace):
+    config = quiet_run_config(name, **changes)
     want, want_trace = reference_run(config, config.seed)
     got = run_scenario(config, collect_trace=collect_trace)
     assert got.as_row() == want.as_row()
     assert got.trace == (want_trace if collect_trace else None)
     assert got.hops > 0
-    assert sum(slots for _, slots in fast_forward.skips) >= config.num_slots // 4
+    # Against the smart hopper fewer slots are fast-forwarded (72 of 600
+    # against the reactive jammer), but some are once hopping has started.
+    fast_forwarded = sum(slots for _, slots in fast_forward.skips)
+    assert fast_forwarded >= config.num_slots // (4 if config.defender == "random" else 10)
+    assert any(before >= config.hop_enable_slot for before, _ in fast_forward.skips)
     # Stretches stop at the phase starts and, only when traced, at the end
-    # of the first trace period, slot 10, which falls inside one in all three.
+    # of the first trace period, slot 10, which falls inside one in all six.
     ends = {before + slots for before, slots in fast_forward.skips}
     assert {config.hop_enable_slot, config.attack_start_slot} - {0} <= ends
     assert (10 in ends) == collect_trace
 
 
-@pytest.mark.parametrize("changes", [dict(defender="smart"), dict(loss_prob=0.05)], ids=["smart-defender", "lossy"])
+@settings(max_examples=40)
+@given(
+    burst=st.integers(1, 8),
+    cooldown=st.integers(3, 60),
+    into=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hop_start_cuts_a_held_smart_hoppers_stretch(burst, cooldown, into, seed):
+    # The oracle's first cooldown opens with a delivered silent slot, and
+    # hopping starts ``into`` slots into it, inside the stretch that follows:
+    # the stretch ends there and the run equals the per-slot loop. Untraced,
+    # so that no trace period cuts the stretch first.
+    into = min(into, cooldown, SMART_REHOME_SLOTS - 1)
+    hop_enable_slot = burst + into
+    config = quiet_run_config(
+        "oracle",
+        defender="smart",
+        sim_duration_s=30.0,
+        hop_enable_s=hop_enable_slot / 10,
+        oracle_burst_slots=burst,
+        oracle_cooldown_slots=cooldown,
+        seed=seed,
+    )
+    assert config.hop_enable_slot == hop_enable_slot
+    want, _ = reference_run(config, seed)
+    ends = []
+    record_deliveries = SmartDefender.record_deliveries
+
+    def recorded(self, slots):
+        ends.append((self._now + slots, self.hops))
+        record_deliveries(self, slots)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SmartDefender, "record_deliveries", recorded)
+        got = run_scenario(config)
+    assert got.as_row() == want.as_row()
+    assert (hop_enable_slot, 0) in ends
+
+
+# A lossy slot draws the phy's generator, so lossy runs play every slot,
+# against either hopper.
+@pytest.mark.parametrize(
+    "changes", [dict(loss_prob=0.05), dict(defender="smart", loss_prob=0.05)], ids=["lossy", "smart-defender-lossy"]
+)
 @pytest.mark.parametrize("name", list(QUIET_RUNS))
 def test_smart_and_lossy_runs_play_every_slot(fast_forward, name, changes):
     config = quiet_run_config(name, **changes)
