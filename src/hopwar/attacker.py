@@ -48,22 +48,30 @@ class Jammer:
     transmission. Sensing needs no acknowledgment traffic: energy on the
     channel is enough, so a successful jam still reads as a hit.
 
-    ``quiet(victim_channel, limit)`` fast-forwards a silent stretch. The
-    engine calls it only after a slot the jammer was silent in, while the
-    victim stays on ``victim_channel`` and every packet gets through. It
-    plays the coming slots for as long as the jammer stays silent, at most
-    ``limit`` of them, and returns how many it played. Those slots must
-    leave the jammer, ``sensing_channel`` included, exactly as that many
-    rounds of ``step(victim_channel)`` and, while ``sensing_channel`` is
-    set, ``observe(sensing_channel == victim_channel)`` would, each of
-    them returning None from ``step``. The slot after the stretch is played
-    by ``step``, and emits unless ``limit`` ended the stretch. A strategy
-    without a closed form inherits the base's ``quiet``, which plays no
-    slot, and is played slot by slot.
+    ``quiet(victim_channel, steady, limit)`` fast-forwards a harmless
+    stretch: coming slots in which the jammer does not emit on the victim's
+    channel. The engine calls it after a delivered slot, while the victim
+    stays on ``victim_channel`` and every packet gets through, for a jammer
+    whose class sets ``fast_forwards``; it reads that once per segment, so
+    a jammer without a closed form costs the per-slot loop nothing.
+    ``steady(n)`` is the defender's horizon, how many of the coming ``n``
+    slots leave the victim on its channel, and can cost the defender work:
+    a jammer asks it only once it knows it has a harmless slot to play, so
+    one about to hit returns ``(0, None)`` without asking. ``quiet`` plays
+    the coming slots for as long as ``step`` would not return
+    ``victim_channel``, at most ``steady(limit)`` of them, and returns
+    ``(slots, emit)``: how many it played and what the last of them emitted.
+    Those slots must leave the jammer, ``sensing_channel`` included, exactly
+    as that many rounds of ``step(victim_channel)`` and, while
+    ``sensing_channel`` is set, ``observe(sensing_channel == victim_channel)``
+    would. The slot after the stretch is played by ``step``.
 
     The base takes no arguments, emits nothing and senses nothing, and its
     ``quiet`` plays no slot.
     """
+
+    # Whether ``quiet`` has a closed form; the engine asks no other jammer.
+    fast_forwards = False
 
     def __init__(self) -> None:
         # An instance attribute, not a class default: the engine reads it
@@ -76,25 +84,65 @@ class Jammer:
     def observe(self, sensed_busy: bool) -> None:
         pass
 
-    def quiet(self, victim_channel: int, limit: int) -> int:
-        return 0
+    def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
+        return 0, None
 
 
 class RandomJammer(Jammer):
-    """Jams a uniformly random channel every slot. No sensing, no memory."""
+    """Jams a uniformly random channel every slot. No sensing, no memory.
+
+    Its channels are drawn in blocks and spent in order from ``_next``; a
+    harmless stretch ends at the victim's channel's next place in the block.
+    """
+
+    fast_forwards = True
 
     def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()
         self.num_channels = config.num_channels
         self._rng = rng
-        # Unspent channels of the current block, last-first, spent with pop().
+        # The channels drawn so far that are still to come start at _next.
         self._block: list[int] = []
+        self._next = 0
 
     def step(self, victim_channel: int) -> int | None:
         block = self._block
-        if not block:
-            block = self._block = self._rng.integers(0, self.num_channels, _RANDOM_BLOCK).tolist()[::-1]
-        return block.pop()
+        i = self._next
+        if i == len(block):
+            block = self._block = self._rng.integers(0, self.num_channels, _RANDOM_BLOCK).tolist()
+            i = 0
+        self._next = i + 1
+        return block[i]
+
+    def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
+        """Spend the channels before the victim's next one, at most ``steady(limit)`` of them.
+
+        A block read ahead goes behind the unspent channels, where ``step``
+        would have drawn it, so the channels come in the same order.
+        """
+        block = self._block
+        start = self._next
+        end = start + limit
+        while True:
+            try:
+                harmless = block.index(victim_channel, start, end) - start
+                break
+            except ValueError:
+                if end <= len(block):
+                    harmless = limit
+                    break
+            # The block runs out before the limit with no victim's channel.
+            del block[:start]
+            end -= start
+            start = self._next = 0
+            block += self._rng.integers(0, self.num_channels, _RANDOM_BLOCK).tolist()
+        if not harmless:
+            return 0, None
+        slots = steady(harmless)
+        if not slots:
+            return 0, None
+        self._next = start + slots
+        return slots, block[start + slots - 1]
 
 
 class ReactiveJammer(Jammer):
@@ -110,6 +158,8 @@ class ReactiveJammer(Jammer):
     It always senses the channel it camps on or scans, ``sensing_channel``,
     which starts at 0 and changes only when the scan moves on.
     """
+
+    fast_forwards = True
 
     def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()
@@ -137,31 +187,53 @@ class ReactiveJammer(Jammer):
                 self.sensing_channel = (self.sensing_channel + 1) % self.num_channels
                 self._countdown = self.dwell
 
-    def quiet(self, victim_channel: int, limit: int) -> int:
-        """Scan on, silent, until the slot that finds the victim, at most ``limit`` slots."""
-        if self.attacking:
-            return 0
+    def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
+        """Camp and scan on until the slot that finds the victim, at most ``steady(limit)`` slots.
+
+        Camped on a channel the victim has left, the jammer emits there for
+        the rest of its idle countdown, then scans silently from the next
+        channel on.
+        """
+        num_channels = self.num_channels
+        dwell = self.dwell
         channel = self.sensing_channel
         countdown = self._countdown
-        dwell = self.dwell
-        # Quiet slots on the channels before the victim's: the rest of this
-        # dwell, then a whole dwell on each channel in between.
-        ahead = (victim_channel - channel) % self.num_channels
+        camp = 0
+        if self.attacking:
+            if channel == victim_channel:
+                return 0, None
+            camp = countdown
+            channel = (channel + 1) % num_channels
+            countdown = dwell
+        # Quiet scan slots on the channels before the victim's: the rest of
+        # this dwell, then a whole dwell on each channel in between.
+        ahead = (victim_channel - channel) % num_channels
         misses = countdown + (ahead - 1) * dwell if ahead else 0
-        if misses < limit:
-            # The scan reaches the victim; that slot is silent too, and the
-            # jammer camps there from the next one.
+        # The slot after the misses finds the victim; it is silent too, and
+        # the jammer camps there from the next one.
+        slots = steady(min(limit, camp + misses + 1))
+        if not slots:
+            return 0, None
+        if slots < camp:
+            self._countdown -= slots
+            return slots, self.sensing_channel
+        # The last slot emits only if it is the camp's last.
+        emit = self.sensing_channel if slots == camp else None
+        scanned = slots - camp
+        if scanned > misses:
             self.attacking = True
             self.sensing_channel = victim_channel
             self._countdown = self.idle_trigger
-            return misses + 1
-        if limit < countdown:
-            self._countdown = countdown - limit
+            return slots, None
+        self.attacking = False
+        if scanned < countdown:
+            self.sensing_channel = channel
+            self._countdown = countdown - scanned
         else:
-            moves, spent = divmod(limit - countdown, dwell)
-            self.sensing_channel = (channel + 1 + moves) % self.num_channels
+            moves, spent = divmod(scanned - countdown, dwell)
+            self.sensing_channel = (channel + 1 + moves) % num_channels
             self._countdown = dwell - spent
-        return limit
+        return slots, emit
 
 
 class BanditJammer(Jammer):
@@ -211,6 +283,8 @@ class PhasedJammer(Jammer):
     bound, and at the end of every listening phase, the one a retrain starts
     included.
     """
+
+    fast_forwards = True
 
     def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()
@@ -295,16 +369,48 @@ class PhasedJammer(Jammer):
             est.clear()
             self._est_sum = 0
 
-    def quiet(self, victim_channel: int, limit: int) -> int:
-        """Sweep on through the listening phase, at most ``limit`` slots.
+    def _target(self) -> int:
+        """The channel the next attacking slot emits on; a pending re-rank is looked at, not recorded."""
+        counts = self.counts
+        best = self._best
+        if best < 0:
+            best = counts.index(max(counts))
+        return best if counts[best] > 0.0 else self._probe
+
+    def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
+        """Listen and miss on until the slot that would jam the victim, at most ``steady(limit)`` slots.
+
+        A listening phase is played in closed form. Attacking misses are
+        played slot by slot by ``step`` and ``observe(False)``, a retrain and
+        a drained map's probes included. They are called on the class, not
+        the instance, so a wrapper set on the instance sees only the slots
+        the engine plays one by one.
+        """
+        if not self.listening and self._target() == victim_channel:
+            return 0, None
+        slots = steady(limit)
+        played = 0
+        emit = None
+        while played < slots:
+            if self.listening:
+                played += self._listen(victim_channel, slots - played)
+                emit = None
+                continue
+            if self._target() == victim_channel:
+                break
+            emit = PhasedJammer.step(self, victim_channel)
+            PhasedJammer.observe(self, False)
+            played += 1
+        return played, emit
+
+    def _listen(self, victim_channel: int, limit: int) -> int:
+        """Sweep on through the listening phase, at most ``limit`` slots; return how many.
 
         The counts of a listening phase are whole numbers, as the phase
         starts from an empty map and adds ones, so adding a stretch's hits
         at once and then capping gives the float that capping slot by slot
         would.
         """
-        if not self.listening or not limit:
-            return 0
         slots = min(limit, self._listen_left)
         num_channels = self.num_channels
         sweep = self._sweep
@@ -334,6 +440,8 @@ class OracleJammer(Jammer):
     cooldown it never lets go.
     """
 
+    fast_forwards = True
+
     def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()
         self.burst_slots = config.oracle_burst_slots
@@ -347,14 +455,14 @@ class OracleJammer(Jammer):
         self._position = position + 1 if position + 1 < self._cycle else 0
         return victim_channel if position < self.burst_slots else None
 
-    def quiet(self, victim_channel: int, limit: int) -> int:
-        """Sit out the rest of the cooldown, at most ``limit`` slots."""
+    def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
+        """Sit out the rest of the cooldown, at most ``steady(limit)`` slots."""
         position = self._position
         if position < self.burst_slots:
-            return 0
-        slots = min(limit, self._cycle - position)
+            return 0, None
+        slots = steady(min(limit, self._cycle - position))
         self._position = (position + slots) % self._cycle
-        return slots
+        return slots, None
 
 
 # Name -> strategy class, built as Cls(config, attacker rng): the one place to

@@ -22,7 +22,7 @@ from .defender import DEFENDERS
 # samples every arm each step, the phased jammer scans its map when it
 # re-ranks, and the smart defender compares channels on a home move. A batch
 # holds all of its runs in memory. A run steps through its slots one by one
-# (fast-forwarded quiet stretches aside), 10**8 of them already take
+# (fast-forwarded harmless stretches aside), 10**8 of them already take
 # minutes, and a traced run keeps one row per emission period.
 MAX_CHANNELS = 1024
 MAX_RUNS = 10_000

@@ -73,11 +73,11 @@ class BaseDefender:
     on in the previous slot (None when it was silent), and may react to a
     detection in ``_on_detection``.
 
-    After a delivered slot, while every slot delivers with the attacker
-    silent, a run of slots can be played at once. ``steady(limit)`` says how
-    many of the coming slots, at most ``limit``, leave the node on its
-    channel; ``skip(slots)`` plays that many of them, as ``advance(None)``
-    and ``record_and_detect(True)`` would one by one; and
+    After a delivered slot, while every slot delivers, a run of slots can
+    be played at once. ``steady(limit)`` says how many of the coming slots,
+    at most ``limit``, leave the node on its channel; ``skip(slots)`` plays
+    that many of them, as ``advance(avoid)``, whatever the channel to
+    avoid, and ``record_and_detect(True)`` would one by one; and
     ``record_deliveries(slots)`` plays them for a node held on its channel,
     whose ``advance`` is not called, as ``record_and_detect(True)`` alone
     would. The base versions fit a policy that moves only after a failure:
@@ -243,26 +243,33 @@ class SmartDefender(BaseDefender):
         """
         self._streak = 0
         self._since_home = 0
-        self._burned.append(self.home)
+        burned = self._burned
+        burned.append(self.home)
         now = self._now
-        means = []
-        for s, f, stamp in zip(self._succ, self._fail, self._stamp):
-            if not (s or f):
-                # A channel never recorded on: decay keeps both tallies at 0.
-                means.append(0.5)
+        # One pass for the first maximum of the means, burned channels left
+        # out: the strict ``>`` keeps the lowest index on a tie, and every
+        # mean is positive, so the first channel not burned beats the start.
+        best = -1
+        best_mean = 0.0
+        for ch, (s, f, stamp) in enumerate(zip(self._succ, self._fail, self._stamp)):
+            if ch in burned:
                 continue
-            age = now - stamp
-            if age < SMART_DECAY_TABLE_LEN:
-                s *= _SUCCESS_DECAY_POW[age]
-                f *= _FAILURE_DECAY_POW[age]
+            if s or f:
+                age = now - stamp
+                if age < SMART_DECAY_TABLE_LEN:
+                    s *= _SUCCESS_DECAY_POW[age]
+                    f *= _FAILURE_DECAY_POW[age]
+                else:
+                    s *= SMART_SUCCESS_DECAY**age
+                    f *= SMART_FAILURE_DECAY**age
+                mean = (1.0 + s) / (2.0 + s + f)
             else:
-                s *= SMART_SUCCESS_DECAY**age
-                f *= SMART_FAILURE_DECAY**age
-            means.append((1.0 + s) / (2.0 + s + f))
-        for ch in self._burned:
-            means[ch] = -1.0
-        # First maximum, as the lowest index wins a tie.
-        self.home = means.index(max(means))
+                # A channel never recorded on: decay keeps both tallies at 0.
+                mean = 0.5
+            if mean > best_mean:
+                best = ch
+                best_mean = mean
+        self.home = best
         self.hops += 1
         self.channel = self.home
         self._reset_window()

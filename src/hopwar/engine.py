@@ -8,12 +8,12 @@ attacker gets its sensing feedback. Detections therefore take effect at the
 start of the next slot, and the attacker's knowledge always trails the slot
 it acted in. A run keeps counters, not per-slot series.
 
-Slots are played one by one, except a quiet stretch in a lossless run:
-after a delivered slot the attacker was silent in, the defender's
-``steady`` says how many coming slots leave it on its channel, the jammer's
-``quiet`` plays the slots it stays silent for within them in closed form,
-and the defender's ``skip`` plays those at once. Without random loss a
-silent slot is sure to deliver and draws nothing, and ``quiet`` and
+Slots are played one by one, except a harmless stretch in a lossless run:
+after a delivered slot, the jammer's ``quiet`` plays in closed form the
+coming slots in which it does not emit on the victim's channel, within the
+defender's ``steady`` horizon of slots that leave the victim on its
+channel, and the defender's ``skip`` plays those at once. Without random
+loss such a slot is sure to deliver and draws nothing, and ``quiet`` and
 ``skip`` leave jammer and defender as the slots would, so no output
 changes: the random hopper only ticks its clock, the smart one runs its
 rehome timer, spends its probe coins and replays its home tallies. A lossy
@@ -89,13 +89,15 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     per-slot loop tests no slot number. Each slot hands the defender the
     previous slot's emission and the attacker the slot's transmit channel.
 
-    When a slot ends with the attacker silent and ``loss_prob`` is 0, the
-    rest of the attacker's quiet stretch within the segment and the
-    defender's ``steady`` horizon is fast-forwarded: ``quiet`` plays it in
-    the jammer, the defender's ``skip`` plays it in the defender, or its
-    ``record_deliveries`` while hopping is held, and its slots are added to
-    ``delivered`` at once. A stretch never crosses a segment cut, so phase
-    starts and trace samples see the slots they would see otherwise.
+    When a slot ends delivered and ``loss_prob`` is 0, the attacker's
+    ``quiet`` is asked for the harmless stretch that follows, within the
+    segment and the defender's ``steady`` horizon, if its class sets
+    ``fast_forwards``. It plays the stretch in the jammer, the defender's
+    ``skip`` plays it in the defender, or its ``record_deliveries`` while
+    hopping is held, its slots are added to ``delivered`` at once, and its
+    last emission becomes the previous slot's; a stretch of no slots
+    changes nothing. A stretch never crosses a segment cut, so phase starts
+    and trace samples see the slots they would see otherwise.
     """
     validate(config)
     if seed is None:
@@ -140,7 +142,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     record = defender.record_and_detect
     steady = defender.steady
     observe = attacker.observe
-    # Quiet stretches are fast-forwarded only where a silent slot is sure to deliver.
+    # Harmless stretches are fast-forwarded only where a slot without a jam is sure to deliver.
     lossless = loss_prob == 0.0
 
     # Slots played so far.
@@ -155,6 +157,8 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
         agent = attacker if slot >= attack_start else _SILENT
         step = agent.step
         quiet = agent.quiet
+        # Asked once per segment, so a jammer without a closed form costs the loop nothing.
+        fast = lossless and agent.fast_forwards
         while slot < stop:
             for slot in range(slot + 1, stop + 1):
                 tx = advance(emit)
@@ -173,12 +177,13 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
                         jammed += 1
                 if sense is not None:
                     observe(sense == tx)
-                if emit is None and lossless:
-                    # A delivered silent slot: the victim stays on tx for its
-                    # steady horizon and the send queue stays empty for as
-                    # long as the attacker is quiet.
-                    run = quiet(tx, steady(stop - slot))
+                if fast and slot_delivered:
+                    # The victim stays on tx for its steady horizon, and the
+                    # send queue stays empty for as long as the jammer
+                    # misses it.
+                    run, last = quiet(tx, steady, stop - slot)
                     if run:
+                        emit = last
                         delivered += run
                         skip(run)
                         slot += run
@@ -209,8 +214,10 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
 class _Silent(Jammer):
     """The attacker's stand-in before the attack starts: no emission, no sensing, quiet throughout."""
 
-    def quiet(self, victim_channel: int, limit: int) -> int:
-        return limit
+    fast_forwards = True
+
+    def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
+        return steady(limit), None
 
 
 _SILENT = _Silent()

@@ -254,13 +254,14 @@ def test_phased_probes_a_drained_map_without_rescanning(monkeypatch):
 def test_phased_rescans_in_under_5_percent_of_its_attacking_slots(monkeypatch):
     scans = counting_ranks(monkeypatch)
     attacking = [0]
-    step = PhasedJammer.step
+    observe = PhasedJammer.observe
 
-    def counted_step(self, victim_channel):
+    # Every attacking slot ends in the class's observe, fast-forwarded misses included.
+    def counted_observe(self, sensed_busy):
         attacking[0] += not self.listening
-        return step(self, victim_channel)
+        observe(self, sensed_busy)
 
-    monkeypatch.setattr(PhasedJammer, "step", counted_step)
+    monkeypatch.setattr(PhasedJammer, "observe", counted_observe)
     for defender in ("random", "smart"):
         scans[0] = attacking[0] = 0
         run_scenario(ScenarioConfig(attacker="phased", defender=defender), seed=1)
@@ -367,45 +368,87 @@ def test_a_jammer_draws_only_from_its_own_generator(name, counting_rng):
     assert all(np.array_equal(a, b) for a, b in zip(np.random.get_state(), numpy_state))
 
 
-# --- quiet: a silent stretch played at once -----------------------------------
-
-
-def state(jammer):
-    """A copy of the jammer's attributes; their lists and deques hold only numbers, so one level deep is enough."""
-    return {name: copy.copy(value) for name, value in vars(jammer).items()}
+# --- quiet: a harmless stretch played at once ---------------------------------
 
 
 def clone(jammer):
+    """A copy of the jammer that plays on alone: its lists and deques hold only numbers, so one level deep is enough."""
     twin = copy.copy(jammer)
-    twin.__dict__ = state(jammer)
+    twin.__dict__ = {
+        name: copy.deepcopy(value) if isinstance(value, np.random.Generator) else copy.copy(value)
+        for name, value in vars(jammer).items()
+    }
     return twin
 
 
-def silent_states(jammer, victim_channel, most):
-    """The jammer's state after each of its next silent slots, at most ``most``, played one by one.
+def observable(jammer, upcoming):
+    """The jammer as the coming slots can tell it: a copy of its attributes.
 
-    Entry ``k`` is the state after ``k`` slots of ``step(victim_channel)``
-    then, while it senses, ``observe(sensing_channel == victim_channel)``;
-    the list stops before the first slot ``step`` emits in.
+    A random jammer's channels to come stand in for its block, cursor and
+    generator, ``upcoming`` of them: a block read ahead sits behind the
+    unspent channels, so only the order they come in can be compared.
+    """
+    if not isinstance(jammer, RandomJammer):
+        return vars(clone(jammer))
+    twin = clone(jammer)
+    hidden = {"_block", "_next", "_rng"}
+    seen = {name: value for name, value in vars(twin).items() if name not in hidden}
+    seen["upcoming"] = [twin.step(0) for _ in range(upcoming)]
+    return seen
+
+
+def harmless_slots(jammer, victim_channel, most):
+    """The jammer after each of its next harmless slots, at most ``most``, played one by one, with the slot's emission.
+
+    Entry ``k`` is (jammer, emission) after ``k`` slots of
+    ``step(victim_channel)`` then, while it senses,
+    ``observe(sensing_channel == victim_channel)``; the list stops before
+    the first slot ``step`` emits on the victim's channel in.
     """
     jammer = clone(jammer)
-    states = [state(jammer)]
-    while len(states) <= most and jammer.step(victim_channel) is None:
+    slots = [(clone(jammer), None)]
+    while len(slots) <= most:
+        emit = jammer.step(victim_channel)
+        if emit == victim_channel:
+            break
         if jammer.sensing_channel is not None:
             jammer.observe(jammer.sensing_channel == victim_channel)
-        states.append(state(jammer))
-    return states
+        slots.append((clone(jammer), emit))
+    return slots
+
+
+class Steady:
+    """A defender's ``steady``: the victim stays for at most ``cap`` slots; it records what it was asked."""
+
+    def __init__(self, cap=None):
+        self.cap = cap
+        self.asked = []
+
+    def __call__(self, limit):
+        self.asked.append(limit)
+        return limit if self.cap is None else min(limit, self.cap)
 
 
 def check_quiet(jammer, victim_channel, most):
-    """``quiet`` at every limit from 0 to ``most`` against ``silent_states``; return the stretch's length."""
-    states = silent_states(jammer, victim_channel, most)
-    for limit in range(most + 1):
-        fast = clone(jammer)
-        played = fast.quiet(victim_channel, limit)
-        assert played == min(limit, len(states) - 1), limit
-        assert vars(fast) == states[played], limit
-    return len(states) - 1
+    """``quiet`` at every limit and every defender horizon from 0 to ``most`` against ``harmless_slots``.
+
+    A limit cuts the stretch as a horizon does, and a jammer that would
+    hit at once does not ask the defender. Returns the stretch's length.
+    """
+    slots = harmless_slots(jammer, victim_channel, most)
+    upcoming = most + 3 * attacker_module._RANDOM_BLOCK
+    for cut in range(most + 1):
+        for steady, limit in ((Steady(), cut), (Steady(cut), most)):
+            fast = clone(jammer)
+            played, emit = fast.quiet(victim_channel, steady, limit)
+            assert played == min(cut, len(slots) - 1), cut
+            want, want_emit = slots[played]
+            assert emit == want_emit, cut
+            assert observable(fast, upcoming) == observable(want, upcoming), cut
+            assert all(asked <= limit for asked in steady.asked)
+            if len(slots) == 1:
+                assert not steady.asked
+    return len(slots) - 1
 
 
 # Where the victim sits while a jammer warms up: (channel, slots) runs, the
@@ -420,14 +463,27 @@ def warm_up(jammer, runs, num_channels):
             drive(jammer, channel % num_channels)
 
 
+@pytest.mark.parametrize("num_channels", [2, 7])
+@settings(max_examples=30)
+@given(block=st.integers(1, 9), runs=VICTIM_RUNS, victim=st.integers(0, 1023))
+def test_random_quiet_is_its_harmless_slots_played_one_by_one(num_channels, block, runs, victim):
+    # Small blocks put block ends inside the stretches.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(attacker_module, "_RANDOM_BLOCK", block)
+        j = build(RandomJammer, num_channels=num_channels)
+        warm_up(j, runs, num_channels)
+        check_quiet(j, victim % num_channels, 6 * num_channels)
+
+
 @pytest.mark.parametrize("num_channels", [2, 7, 1024])
 @settings(max_examples=30)
 @given(idle_trigger=st.integers(1, 8), dwell=st.integers(1, 3), runs=VICTIM_RUNS, victim=st.integers(0, 1023))
 def test_reactive_quiet_is_its_silent_slots_played_one_by_one(num_channels, idle_trigger, dwell, runs, victim):
+    # Harmless slots, the rest of a camp the victim has left included.
     j = build(ReactiveJammer, num_channels=num_channels, idle_trigger_slots=idle_trigger, reactive_dwell_slots=dwell)
     warm_up(j, runs, num_channels)
-    # Past a whole scan cycle: every stretch ends on the victim's channel.
-    check_quiet(j, victim % num_channels, 2 * num_channels * dwell + 1)
+    # Past a camp and a whole scan cycle: every stretch ends on the victim's channel.
+    check_quiet(j, victim % num_channels, idle_trigger + 2 * num_channels * dwell + 1)
 
 
 @pytest.mark.parametrize("num_channels", [2, 7, 1024])
@@ -442,10 +498,12 @@ def test_reactive_quiet_is_its_silent_slots_played_one_by_one(num_channels, idle
 def test_phased_quiet_is_its_silent_slots_played_one_by_one(
     num_channels, listen_len, eval_len, retrain_trigger, runs, victim
 ):
+    # Harmless slots, attacking misses and retrains included.
     knobs = dict(listen_len_slots=listen_len, eval_len_slots=eval_len, retrain_trigger=retrain_trigger)
     j = build(PhasedJammer, num_channels=num_channels, **knobs)
     warm_up(j, runs, num_channels)
-    check_quiet(j, victim % num_channels, listen_len + 2 * num_channels)
+    # Past the listen and a sweep of attacking misses, or 80 of them.
+    check_quiet(j, victim % num_channels, listen_len + 2 * min(num_channels, 40))
 
 
 @pytest.mark.parametrize("num_channels", [2, 1024])
@@ -455,6 +513,82 @@ def test_oracle_quiet_is_its_silent_slots_played_one_by_one(num_channels, burst,
     j = build(OracleJammer, num_channels=num_channels, oracle_burst_slots=burst, oracle_cooldown_slots=cooldown)
     warm_up(j, runs, num_channels)
     check_quiet(j, victim % num_channels, 3 * (burst + cooldown))
+
+
+def test_random_quiet_reads_the_next_block_behind_the_unspent_channels():
+    j = build(RandomJammer)
+    for _ in range(attacker_module._RANDOM_BLOCK - 5):
+        j.step(0)
+    unspent = j._block[j._next :]
+    # A victim on a channel none of the last five hold: the stretch runs
+    # into the next block.
+    victim = min(set(range(12)) - set(unspent))
+    assert check_quiet(j, victim, 60) > 5
+    # A victim on the next channel: the stretch is empty.
+    assert check_quiet(j, unspent[0], 60) == 0
+
+
+def test_reactive_quiet_runs_a_camp_countdown_equal_to_the_limit_out():
+    j = build(ReactiveJammer, idle_trigger_slots=4, reactive_dwell_slots=3)
+    j.sensing_channel = 3
+    drive(j, 3)
+    drive(j, 8)
+    assert (j.attacking, j._countdown) == (True, 3)
+    assert check_quiet(j, 8, 40) == 3 + 4 * 3 + 1
+    # The camp's last slot emits on the camp; the scan starts after it.
+    assert j.quiet(8, Steady(), 3) == (3, 3)
+    assert (j.attacking, j.sensing_channel, j._countdown) == (False, 4, 3)
+
+
+def test_reactive_quiet_finds_a_victim_one_channel_past_the_camp():
+    j = build(ReactiveJammer, idle_trigger_slots=4, reactive_dwell_slots=3)
+    j.sensing_channel = 3
+    drive(j, 3)
+    assert check_quiet(j, 4, 20) == 4 + 1
+    # Four camp slots, then the scan's first slot hears the victim.
+    assert j.quiet(4, Steady(), 20) == (5, None)
+    assert (j.attacking, j.sensing_channel, j._countdown) == (True, 4, 4)
+    assert j.step(4) == 4
+
+
+def test_phased_quiet_re_ranks_probes_and_retrains_inside_one_stretch(monkeypatch):
+    scans = counting_ranks(monkeypatch)
+    j = build(PhasedJammer, num_channels=4, listen_len_slots=4, eval_len_slots=23, retrain_trigger=0.05)
+    # The listening sweep hears the victim on channels 0 and 1.
+    for victim in (0, 1, 0, 0):
+        drive(j, victim)
+    assert j.counts == [1.0, 1.0, 0.0, 0.0]
+    # Channels 0 and 1 drain in turns, each miss on the leader re-ranking
+    # the map; probes then sound channels 0 to 2 of the drained map; the
+    # estimate collapses on the 23rd attacking miss, and the four slots of
+    # the new listen map channel 3, which the next slot jams.
+    emitted = [emit for _, emit in harmless_slots(j, 3, 200)[1:]]
+    assert emitted == [0, 1] * 10 + [0, 1, 2] + [None] * 4
+    assert check_quiet(j, 3, 30) == len(emitted)
+    # The stretch ranks the map where the slots played one by one do.
+    scans[0] = 0
+    twin = clone(j)
+    for _ in emitted:
+        drive(twin, 3)
+    one_by_one = scans[0]
+    scans[0] = 0
+    assert j.quiet(3, Steady(), 200) == (len(emitted), None)
+    assert scans[0] == one_by_one > 10
+    assert (j.retrains, j.listening, j.counts) == (1, False, [0.0, 0.0, 0.0, 1.0])
+    assert j.step(3) == 3
+
+
+def test_phased_quiet_ends_the_listen_and_caps_the_count_inside_the_stretch():
+    # 100 listening slots over 2 channels sense the victim 50 times; its
+    # count stops at the cap, and the stretch ends where the listen does,
+    # as the attack opens on the victim's channel.
+    j = build(PhasedJammer, num_channels=2, listen_len_slots=100)
+    drive(j, 0)
+    assert check_quiet(j, 0, 150) == 99
+    assert j.quiet(0, Steady(), 150) == (99, None)
+    assert j.counts == [PHASED_COUNT_CAP, 0.0]
+    assert not j.listening
+    assert j.step(0) == 0
 
 
 @pytest.mark.parametrize("num_channels", [5, 1024])
@@ -467,22 +601,13 @@ def test_reactive_quiet_scans_past_channel_0_to_the_victim(num_channels):
         drive(j, 1)
     assert (j.attacking, j.sensing_channel) == (False, 4)
     assert check_quiet(j, 1, 3 * num_channels + 5) == 3 * (num_channels - 3) + 1
-    j.quiet(1, 3 * num_channels)
+    j.quiet(1, Steady(), 3 * num_channels)
     assert (j.attacking, j.sensing_channel) == (True, 1)
 
 
-def test_phased_quiet_ends_the_listen_and_caps_the_count_inside_the_stretch():
-    # 100 listening slots over 2 channels sense the victim 50 times; its
-    # count stops at the cap, and the stretch ends where the listen does.
-    j = build(PhasedJammer, num_channels=2, listen_len_slots=100)
-    drive(j, 0)
-    assert check_quiet(j, 0, 150) == 99
-    assert j.quiet(0, 150) == 99
-    assert j.counts == [PHASED_COUNT_CAP, 0.0]
-    assert not j.listening
-    assert j.step(0) == 0
-
-
 def test_jammers_without_a_closed_form_play_no_quiet_slot():
-    for j in (Jammer(), build(RandomJammer), build(BanditJammer)):
-        assert j.quiet(0, 10) == 0
+    for j in (Jammer(), build(BanditJammer)):
+        steady = Steady()
+        assert not j.fast_forwards
+        assert j.quiet(0, steady, 10) == (0, None)
+        assert not steady.asked

@@ -540,6 +540,21 @@ def short_scenarios(draw):
 @example(
     scenario={"slot_s": 0.25, "sim_duration_s": 30.0, "hop_enable_s": 40.0, "attack_start_s": 0.0, "loss_prob": 0.0}
 )
+# A stretch of no slots must leave the previous slot's emission alone: the
+# reactive jammer camps on the victim's channel after one quiet slot.
+@example(
+    scenario={
+        "slot_s": 0.1,
+        "sim_duration_s": 2.0,
+        "hop_enable_s": 0.0,
+        "attack_start_s": 0.0,
+        "loss_prob": 0.0,
+        "num_channels": 2,
+        "idle_trigger_slots": 1,
+        "reactive_dwell_slots": 1,
+        "seed": 0,
+    }
+)
 # The attack starts past the end.
 @example(
     scenario={"slot_s": 0.5, "sim_duration_s": 30.0, "hop_enable_s": 0.0, "attack_start_s": 31.0, "loss_prob": 0.1}
@@ -624,7 +639,11 @@ def test_runs_do_not_depend_on_run_order():
 
 
 class FastForward(NamedTuple):
-    """What one run fast-forwarded: ``quiet`` calls and, per stretch, (slots recorded before it, slots in it)."""
+    """What one run fast-forwarded.
+
+    Per ``quiet`` call: (jammer class, slots played, last emission). Per
+    stretch: (slots recorded before it, slots in it).
+    """
 
     quiet_calls: list
     skips: list
@@ -641,9 +660,10 @@ def fast_forward(monkeypatch):
     for cls in {Jammer, type(engine._SILENT), *ATTACKERS.values()}:
         if "quiet" in vars(cls):
 
-            def quiet(self, victim_channel, limit, _quiet=vars(cls)["quiet"]):
-                seen.quiet_calls.append(type(self).__name__)
-                return _quiet(self, victim_channel, limit)
+            def quiet(self, victim_channel, steady, limit, _quiet=vars(cls)["quiet"]):
+                played, emit = _quiet(self, victim_channel, steady, limit)
+                seen.quiet_calls.append((type(self).__name__, played, emit))
+                return played, emit
 
             monkeypatch.setattr(cls, "quiet", quiet)
     for cls in {BaseDefender, *DEFENDERS.values()}:
@@ -669,11 +689,19 @@ QUIET_RUNS = {
     # Hopping starts at slot 5, inside the stand-in's quiet stretch, and the
     # attack at slot 23 opens with a listening phase, so it splits one.
     "phased": dict(attacker="phased", attack_start_s=2.3, hop_enable_s=0.5, listen_len_slots=40, eval_len_slots=30),
+    # A ten-slot listen, then an attack whose misses run in stretches, and
+    # retrains when the victim has moved on.
+    "phased-attacking": dict(
+        attacker="phased", attack_start_s=1.5, hop_enable_s=0.5, listen_len_slots=10, eval_len_slots=30
+    ),
     # Hopping starts at slot 5, inside the stand-in's quiet stretch; every
     # hop away sends the jammer on a silent scan.
     "reactive": dict(
         attacker="reactive", attack_start_s=1.5, hop_enable_s=0.5, idle_trigger_slots=5, reactive_dwell_slots=3
     ),
+    # Five in six of the jammer's slots miss the victim: each triggers a
+    # stretch or lies in one.
+    "random": dict(attacker="random", attack_start_s=1.5, hop_enable_s=0.5),
 }
 
 
@@ -695,16 +723,38 @@ def test_fast_forwarded_runs_equal_the_per_slot_loop(fast_forward, name, changes
     assert got.as_row() == want.as_row()
     assert got.trace == (want_trace if collect_trace else None)
     assert got.hops > 0
-    # Against the smart hopper fewer slots are fast-forwarded (72 of 600
-    # against the reactive jammer), but some are once hopping has started.
+    # Most slots are fast-forwarded against either hopper (at least 336 of
+    # 600, the reactive jammer against the smart hopper, traced), some of
+    # them once hopping has started.
     fast_forwarded = sum(slots for _, slots in fast_forward.skips)
-    assert fast_forwarded >= config.num_slots // (4 if config.defender == "random" else 10)
+    assert fast_forwarded >= config.num_slots // 2
     assert any(before >= config.hop_enable_slot for before, _ in fast_forward.skips)
     # Stretches stop at the phase starts and, only when traced, at the end
-    # of the first trace period, slot 10, which falls inside one in all six.
+    # of the first trace period, slot 10, which falls inside one in all ten.
     ends = {before + slots for before, slots in fast_forward.skips}
     assert {config.hop_enable_slot, config.attack_start_slot} - {0} <= ends
     assert (10 in ends) == collect_trace
+
+
+@pytest.mark.parametrize("defender", list(DEFENDERS))
+@pytest.mark.parametrize("name", ["random", "reactive", "phased-attacking"])
+def test_stretches_run_on_through_slots_the_jammer_emits_in(fast_forward, name, defender):
+    # A slot that misses the victim is as harmless as a silent one: the
+    # random jammer's misses, the rest of a camp the victim has left and the
+    # phased jammer's attacking misses are fast-forwarded too, and a
+    # stretch's last emission is the next slot's ``avoid`` and trace row.
+    # That these runs equal the per-slot loop is checked above.
+    run_scenario(quiet_run_config(name, defender=defender), collect_trace=True)
+    assert any(played and emit is not None for _, played, emit in fast_forward.quiet_calls)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_random_against_random_fast_forwards_most_of_its_slots(fast_forward, seed):
+    # At the reference scenario 11 of 12 random draws miss the victim, so
+    # a working trigger skips most slots (84% over seeds 1 and 2).
+    config = ScenarioConfig(attacker="random", defender="random")
+    run_scenario(config, seed=seed)
+    assert sum(slots for _, slots in fast_forward.skips) >= config.num_slots // 2
 
 
 @settings(max_examples=40)
