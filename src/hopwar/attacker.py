@@ -106,13 +106,15 @@ class RandomJammer(Jammer):
         self._next = 0
 
     def step(self, victim_channel: int) -> int | None:
-        block = self._block
         i = self._next
-        if i == len(block):
-            block = self._block = self._rng.integers(0, self.num_channels, _RANDOM_BLOCK).tolist()
-            i = 0
         self._next = i + 1
-        return block[i]
+        try:
+            return self._block[i]
+        except IndexError:
+            # Every drawn channel is spent: draw the next block.
+            block = self._block = self._rng.integers(0, self.num_channels, _RANDOM_BLOCK).tolist()
+            self._next = 1
+            return block[0]
 
     def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
         """Spend the channels before the victim's next one, at most ``steady(limit)`` of them.
