@@ -254,14 +254,13 @@ def test_phased_probes_a_drained_map_without_rescanning(monkeypatch):
 def test_phased_rescans_in_under_5_percent_of_its_attacking_slots(monkeypatch):
     scans = counting_ranks(monkeypatch)
     attacking = [0]
-    observe = PhasedJammer.observe
+    step = PhasedJammer.step
 
-    # Every attacking slot ends in the class's observe, fast-forwarded misses included.
-    def counted_observe(self, sensed_busy):
+    def counted_step(self, victim_channel):
         attacking[0] += not self.listening
-        observe(self, sensed_busy)
+        return step(self, victim_channel)
 
-    monkeypatch.setattr(PhasedJammer, "observe", counted_observe)
+    monkeypatch.setattr(PhasedJammer, "step", counted_step)
     for defender in ("random", "smart"):
         scans[0] = attacking[0] = 0
         run_scenario(ScenarioConfig(attacker="phased", defender=defender), seed=1)
