@@ -66,8 +66,9 @@ class Jammer:
     ``sensing_channel`` is set, ``observe(sensing_channel == victim_channel)``
     would. The slot after the stretch is played by ``step``.
 
-    The base takes no arguments, emits nothing and senses nothing, and its
-    ``quiet`` plays no slot.
+    Every strategy in ``ATTACKERS`` sets ``fast_forwards``. The base takes
+    no arguments, emits nothing and senses nothing, and its ``quiet`` plays
+    no slot.
     """
 
     # Whether ``quiet`` has a closed form; the engine asks no other jammer.
@@ -246,19 +247,63 @@ class BanditJammer(Jammer):
     posteriors slide over each arm's recent plays (the victim relocates, so
     evidence must age out); beyond that there are no mode switches and no
     thresholds.
+
+    It selects one arm ahead: ``observe`` updates the played arm, then
+    selects the next slot's arm into ``_next``, which ``step`` plays. Only
+    the first ``step`` selects, so building the jammer draws nothing, and
+    the sampler sees the select, update, select... order of a jammer that
+    selects in ``step``; the selection after a run's last slot is never
+    played. With the next arm known, ``quiet`` can tell a slot about to hit
+    before it asks the defender anything.
     """
+
+    fast_forwards = True
 
     def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()
         self.sampler = ThompsonSampler(config.num_channels, BANDIT_WINDOW_PLAYS)
         self._rng = rng
+        # The arm the next slot plays; None until the first step selects one.
+        self._next: int | None = None
 
     def step(self, victim_channel: int) -> int | None:
-        arm = self.sensing_channel = self.sampler.select_arm(self._rng)
+        arm = self._next
+        if arm is None:
+            arm = self._next = self.sampler.select_arm(self._rng)
+        self.sensing_channel = arm
         return arm
 
     def observe(self, sensed_busy: bool) -> None:
-        self.sampler.update(self.sensing_channel, sensed_busy)
+        sampler = self.sampler
+        sampler.update(self.sensing_channel, sensed_busy)
+        self._next = sampler.select_arm(self._rng)
+
+    def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
+        """Miss on until the next arm is the victim's channel, at most ``steady(limit)`` slots.
+
+        Each slot rewards its arm 0 and selects the next, as ``step`` and
+        ``observe(False)`` would, through the sampler's instance attributes,
+        so a wrapper set on the sampler sees every selection and update.
+        """
+        # A stretch follows a played slot, whose observe selected the next arm.
+        arm = self._next
+        if arm == victim_channel:
+            return 0, None
+        slots = steady(limit)
+        if not slots:
+            return 0, None
+        sampler = self.sampler
+        select_arm, update = sampler.select_arm, sampler.update
+        rng = self._rng
+        for played in range(1, slots + 1):
+            update(arm, 0)
+            last = arm
+            arm = select_arm(rng)
+            if arm == victim_channel:
+                break
+        self._next = arm
+        self.sensing_channel = last
+        return played, last
 
 
 class PhasedJammer(Jammer):

@@ -19,7 +19,8 @@ changes: the random hopper only ticks its clock, the smart one runs its
 rehome timer, spends its probe coins and replays its home tallies. A lossy
 slot draws the phy's generator, so lossy runs play every slot. Only the
 slots played one by one call ``step``, ``observe``, ``advance`` and
-``record_and_detect``.
+``record_and_detect``; the bandit's stretch still selects and updates
+through its sampler, once per slot.
 
 All randomness flows from the run seed through fixed per-component streams
 (defender 0, attacker 1, phy 2), so a run is a pure function of its config

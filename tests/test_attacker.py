@@ -21,6 +21,7 @@ from hopwar.attacker import (
     RandomJammer,
     ReactiveJammer,
 )
+from hopwar.bandit import ThompsonSampler
 from hopwar.config import ConfigError, ScenarioConfig, validate
 from hopwar.defender import DEFENDERS, RandomDefender, SmartDefender
 from hopwar.engine import make_attacker, run_scenario
@@ -371,10 +372,14 @@ def test_a_jammer_draws_only_from_its_own_generator(name, counting_rng):
 
 
 def clone(jammer):
-    """A copy of the jammer that plays on alone: its lists and deques hold only numbers, so one level deep is enough."""
+    """A copy of the jammer that plays on alone.
+
+    Its lists and deques hold only numbers, so one level deep is enough; a
+    generator and the bandit's sampler are copied whole.
+    """
     twin = copy.copy(jammer)
     twin.__dict__ = {
-        name: copy.deepcopy(value) if isinstance(value, np.random.Generator) else copy.copy(value)
+        name: copy.deepcopy(value) if isinstance(value, (np.random.Generator, ThompsonSampler)) else copy.copy(value)
         for name, value in vars(jammer).items()
     }
     return twin
@@ -385,8 +390,21 @@ def observable(jammer, upcoming):
 
     A random jammer's channels to come stand in for its block, cursor and
     generator, ``upcoming`` of them: a block read ahead sits behind the
-    unspent channels, so only the order they come in can be compared.
+    unspent channels, so only the order they come in can be compared. A
+    bandit's sampler has no ``__eq__``: its posteriors, windows and unspent
+    samples per state stand in for it, and its generator's state for the
+    generator.
     """
+    if isinstance(jammer, BanditJammer):
+        sampler = jammer.sampler
+        return {
+            "arms": sampler.arms,
+            "windows": [list(history) for history in sampler._history],
+            "pool": {state: list(store) for state, store in sampler._pool.items() if store},
+            "next": jammer._next,
+            "sensing_channel": jammer.sensing_channel,
+            "rng": jammer._rng.bit_generator.state,
+        }
     if not isinstance(jammer, RandomJammer):
         return vars(clone(jammer))
     twin = clone(jammer)
@@ -514,6 +532,57 @@ def test_oracle_quiet_is_its_silent_slots_played_one_by_one(num_channels, burst,
     check_quiet(j, victim % num_channels, 3 * (burst + cooldown))
 
 
+@pytest.mark.parametrize("num_channels", [2, 12])
+@settings(max_examples=30)
+@given(runs=VICTIM_RUNS, victim=st.integers(0, 1023))
+def test_bandit_quiet_is_its_harmless_slots_played_one_by_one(num_channels, runs, victim):
+    # Misses rewarded 0 and the next arm selected, slot after slot; the
+    # first slot selects the arm the stretch starts from.
+    j = build(BanditJammer, num_channels=num_channels)
+    warm_up(j, [(victim, 1), *runs], num_channels)
+    check_quiet(j, victim % num_channels, 4 * num_channels)
+
+
+def test_bandit_quiet_with_its_next_arm_on_the_victim_asks_nothing():
+    j = build(BanditJammer, seed=5)
+    for _ in range(400):
+        drive(j, 4)
+    assert j._next == 4
+    before = observable(j, 0)
+    steady = Steady()
+    assert j.quiet(4, steady, 10) == (0, None)
+    assert not steady.asked
+    assert observable(j, 0) == before
+    assert j.step(4) == 4
+
+
+def test_bandit_quiet_within_a_horizon_of_0_leaves_the_jammer_as_it_was():
+    # The smart hopper on a probe visit stays for no slot.
+    j = build(BanditJammer, seed=3)
+    for _ in range(30):
+        drive(j, 0)
+    victim = (j._next + 1) % 12
+    before = observable(j, 0)
+    steady = Steady(0)
+    assert j.quiet(victim, steady, 10) == (0, None)
+    assert steady.asked == [10]
+    assert observable(j, 0) == before
+
+
+def test_building_a_bandit_draws_nothing(counting_rng):
+    j = make_attacker(ScenarioConfig(attacker="bandit"), counting_rng)
+    assert not counting_rng.calls
+    # The first step selects; then each observe selects the next slot's
+    # arm, and step plays it without drawing.
+    arm = j.step(0)
+    drawn = counting_rng.calls["beta"]
+    assert drawn > 0
+    assert j.step(0) == arm
+    assert counting_rng.calls["beta"] == drawn
+    j.observe(False)
+    assert j.step(0) == j._next
+
+
 def test_random_quiet_reads_the_next_block_behind_the_unspent_channels():
     j = build(RandomJammer)
     for _ in range(attacker_module._RANDOM_BLOCK - 5):
@@ -605,8 +674,8 @@ def test_reactive_quiet_scans_past_channel_0_to_the_victim(num_channels):
 
 
 def test_jammers_without_a_closed_form_play_no_quiet_slot():
-    for j in (Jammer(), build(BanditJammer)):
-        steady = Steady()
-        assert not j.fast_forwards
-        assert j.quiet(0, steady, 10) == (0, None)
-        assert not steady.asked
+    j = Jammer()
+    steady = Steady()
+    assert not j.fast_forwards
+    assert j.quiet(0, steady, 10) == (0, None)
+    assert not steady.asked

@@ -702,6 +702,9 @@ QUIET_RUNS = {
     # Five in six of the jammer's slots miss the victim: each triggers a
     # stretch or lies in one.
     "random": dict(attacker="random", attack_start_s=1.5, hop_enable_s=0.5),
+    # Every miss triggers a stretch, which replays misses until the next
+    # arm lands on the victim's channel; hits get the victim detected.
+    "bandit": dict(attacker="bandit", attack_start_s=1.5, hop_enable_s=0.5),
 }
 
 
@@ -730,14 +733,14 @@ def test_fast_forwarded_runs_equal_the_per_slot_loop(fast_forward, name, changes
     assert fast_forwarded >= config.num_slots // 2
     assert any(before >= config.hop_enable_slot for before, _ in fast_forward.skips)
     # Stretches stop at the phase starts and, only when traced, at the end
-    # of the first trace period, slot 10, which falls inside one in all ten.
+    # of the first trace period, slot 10, which falls inside one in all twelve.
     ends = {before + slots for before, slots in fast_forward.skips}
     assert {config.hop_enable_slot, config.attack_start_slot} - {0} <= ends
     assert (10 in ends) == collect_trace
 
 
 @pytest.mark.parametrize("defender", list(DEFENDERS))
-@pytest.mark.parametrize("name", ["random", "reactive", "phased-attacking"])
+@pytest.mark.parametrize("name", ["random", "reactive", "phased-attacking", "bandit"])
 def test_stretches_run_on_through_slots_the_jammer_emits_in(fast_forward, name, defender):
     # A slot that misses the victim is as harmless as a silent one: the
     # random jammer's misses, the rest of a camp the victim has left and the
@@ -753,6 +756,15 @@ def test_random_against_random_fast_forwards_most_of_its_slots(fast_forward, see
     # At the reference scenario 11 of 12 random draws miss the victim, so
     # a working trigger skips most slots (84% over seeds 1 and 2).
     config = ScenarioConfig(attacker="random", defender="random")
+    run_scenario(config, seed=seed)
+    assert sum(slots for _, slots in fast_forward.skips) >= config.num_slots // 2
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_bandit_against_random_fast_forwards_most_of_its_slots(fast_forward, seed):
+    # Between hits the bandit's misses run in stretches until its next arm
+    # is the victim's channel (80% of the slots skipped over seeds 1 and 2).
+    config = ScenarioConfig(attacker="bandit", defender="random")
     run_scenario(config, seed=seed)
     assert sum(slots for _, slots in fast_forward.skips) >= config.num_slots // 2
 
@@ -810,6 +822,35 @@ def test_smart_and_lossy_runs_play_every_slot(fast_forward, name, changes):
         assert got.as_row() == want.as_row()
         assert got.trace == (want_trace if collect_trace else None)
     assert fast_forward == FastForward([], [])
+
+
+@pytest.mark.parametrize("defender", list(DEFENDERS))
+def test_every_bandit_selection_goes_through_the_samplers_instance(monkeypatch, defender):
+    # The benchmark's tracer hands its counting generator only to the
+    # sampler instance's select_arm. Every slot the bandit plays, one by one
+    # or in a stretch, updates once and selects its successor once, and the
+    # first slot selects its own arm: a stretch that called the class's
+    # methods would leave these counts short.
+    calls = Counter()
+    make = engine.make_attacker
+
+    def make_attacker(config, rng):
+        attacker = make(config, rng)
+        sampler = attacker.sampler
+        for method in ("select_arm", "update"):
+
+            def counted(*args, _method=getattr(sampler, method), _name=method):
+                calls[_name] += 1
+                return _method(*args)
+
+            setattr(sampler, method, counted)
+        return attacker
+
+    monkeypatch.setattr(engine, "make_attacker", make_attacker)
+    config = ScenarioConfig(attacker="bandit", defender=defender)
+    played = config.num_slots - config.attack_start_slot
+    run_scenario(config, seed=1)
+    assert calls == {"select_arm": played + 1, "update": played}
 
 
 def test_every_name_the_benchmark_tracer_wraps_is_called(monkeypatch, tmp_path):
