@@ -51,9 +51,7 @@ class Jammer:
     ``quiet(victim_channel, steady, limit)`` fast-forwards a harmless
     stretch: coming slots in which the jammer does not emit on the victim's
     channel. The engine calls it after a delivered slot, while the victim
-    stays on ``victim_channel`` and every packet gets through, for a jammer
-    whose class sets ``fast_forwards``; it reads that once per segment, so
-    a jammer without a closed form costs the per-slot loop nothing.
+    stays on ``victim_channel`` and every packet gets through.
     ``steady(n)`` is the defender's horizon, how many of the coming ``n``
     slots leave the victim on its channel, and can cost the defender work:
     a jammer asks it only once it knows it has a harmless slot to play, so
@@ -61,18 +59,16 @@ class Jammer:
     the coming slots for as long as ``step`` would not return
     ``victim_channel``, at most ``steady(limit)`` of them, and returns
     ``(slots, emit)``: how many it played and what the last of them emitted.
-    Those slots must leave the jammer, ``sensing_channel`` included, exactly
-    as that many rounds of ``step(victim_channel)`` and, while
+    Those slots must leave the jammer, ``sensing_channel`` included, as
+    that many rounds of ``step(victim_channel)`` and, while
     ``sensing_channel`` is set, ``observe(sensing_channel == victim_channel)``
-    would. The slot after the stretch is played by ``step``.
+    would, as far as the coming slots can tell: ``quiet`` may have chosen
+    the next slot's action already, as ``step`` would. The slot after the
+    stretch is played by ``step``.
 
-    Every strategy in ``ATTACKERS`` sets ``fast_forwards``. The base takes
-    no arguments, emits nothing and senses nothing, and its ``quiet`` plays
-    no slot.
+    The base takes no arguments, emits nothing and senses nothing, and its
+    ``quiet`` plays no slot.
     """
-
-    # Whether ``quiet`` has a closed form; the engine asks no other jammer.
-    fast_forwards = False
 
     def __init__(self) -> None:
         # An instance attribute, not a class default: the engine reads it
@@ -95,8 +91,6 @@ class RandomJammer(Jammer):
     Its channels are drawn in blocks and spent in order from ``_next``; a
     harmless stretch ends at the victim's channel's next place in the block.
     """
-
-    fast_forwards = True
 
     def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()
@@ -161,8 +155,6 @@ class ReactiveJammer(Jammer):
     It always senses the channel it camps on or scans, ``sensing_channel``,
     which starts at 0 and changes only when the scan moves on.
     """
-
-    fast_forwards = True
 
     def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()
@@ -248,62 +240,63 @@ class BanditJammer(Jammer):
     evidence must age out); beyond that there are no mode switches and no
     thresholds.
 
-    It selects one arm ahead: ``observe`` updates the played arm, then
-    selects the next slot's arm into ``_next``, which ``step`` plays. Only
-    the first ``step`` selects, so building the jammer draws nothing, and
-    the sampler sees the select, update, select... order of a jammer that
-    selects in ``step``; the selection after a run's last slot is never
-    played. With the next arm known, ``quiet`` can tell a slot about to hit
-    before it asks the defender anything.
+    Each slot selects its own arm once. ``quiet`` selects the next slot's
+    arm before it asks the defender anything, so it can tell a slot about
+    to hit; ``step`` then plays that arm instead of selecting another. A
+    stretch plays each harmless slot through ``step`` and rewards its arm 0,
+    and selects the next slot's arm only while the stretch may go on, so the
+    sampler sees the select, update, select... order of slots played one by
+    one and every selection is a slot's.
     """
-
-    fast_forwards = True
 
     def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()
         self.sampler = ThompsonSampler(config.num_channels, BANDIT_WINDOW_PLAYS)
         self._rng = rng
-        # The arm the next slot plays; None until the first step selects one.
+        # The next slot's arm when ``quiet`` has selected it, else None.
         self._next: int | None = None
 
     def step(self, victim_channel: int) -> int | None:
         arm = self._next
         if arm is None:
-            arm = self._next = self.sampler.select_arm(self._rng)
+            arm = self.sampler.select_arm(self._rng)
+        else:
+            self._next = None
         self.sensing_channel = arm
         return arm
 
     def observe(self, sensed_busy: bool) -> None:
-        sampler = self.sampler
-        sampler.update(self.sensing_channel, sensed_busy)
-        self._next = sampler.select_arm(self._rng)
+        self.sampler.update(self.sensing_channel, sensed_busy)
 
     def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
         """Miss on until the next arm is the victim's channel, at most ``steady(limit)`` slots.
 
-        Each slot rewards its arm 0 and selects the next, as ``step`` and
-        ``observe(False)`` would, through the sampler's instance attributes,
-        so a wrapper set on the sampler sees every selection and update.
+        Each slot is played by ``step`` and rewards its arm 0, as
+        ``observe(False)`` would. Selections and updates go through the
+        sampler's instance attributes, so a wrapper set on the sampler sees
+        every one.
         """
-        # A stretch follows a played slot, whose observe selected the next arm.
-        arm = self._next
+        sampler = self.sampler
+        select_arm, rng = sampler.select_arm, self._rng
+        # A stretch follows a played slot, whose step left no arm selected.
+        arm = self._next = select_arm(rng)
         if arm == victim_channel:
             return 0, None
         slots = steady(limit)
         if not slots:
             return 0, None
-        sampler = self.sampler
-        select_arm, update = sampler.select_arm, sampler.update
-        rng = self._rng
-        for played in range(1, slots + 1):
+        step, update = self.step, sampler.update
+        played = 1
+        while True:
+            step(victim_channel)
             update(arm, 0)
-            last = arm
-            arm = select_arm(rng)
-            if arm == victim_channel:
-                break
-        self._next = arm
-        self.sensing_channel = last
-        return played, last
+            if played == slots:
+                return played, arm
+            following = self._next = select_arm(rng)
+            if following == victim_channel:
+                return played, arm
+            arm = following
+            played += 1
 
 
 class PhasedJammer(Jammer):
@@ -330,8 +323,6 @@ class PhasedJammer(Jammer):
     bound, and at the end of every listening phase, the one a retrain starts
     included.
     """
-
-    fast_forwards = True
 
     def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()
@@ -486,8 +477,6 @@ class OracleJammer(Jammer):
     dark for ``oracle_cooldown_slots`` before striking again. With no
     cooldown it never lets go.
     """
-
-    fast_forwards = True
 
     def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()

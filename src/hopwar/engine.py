@@ -18,9 +18,10 @@ loss such a slot is sure to deliver and draws nothing, and ``quiet`` and
 changes: the random hopper only ticks its clock, the smart one runs its
 rehome timer, spends its probe coins and replays its home tallies. A lossy
 slot draws the phy's generator, so lossy runs play every slot. Only the
-slots played one by one call ``step``, ``observe``, ``advance`` and
-``record_and_detect``; the bandit's stretch still selects and updates
-through its sampler, once per slot.
+slots played one by one call ``observe``, ``advance`` and
+``record_and_detect``, and ``step`` but for the bandit's: its stretch plays
+each slot through its own ``step``, and selects and updates through its
+sampler, once per slot.
 
 All randomness flows from the run seed through fixed per-component streams
 (defender 0, attacker 1, phy 2), so a run is a pure function of its config
@@ -92,13 +93,13 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
 
     When a slot ends delivered and ``loss_prob`` is 0, the attacker's
     ``quiet`` is asked for the harmless stretch that follows, within the
-    segment and the defender's ``steady`` horizon, if its class sets
-    ``fast_forwards``. It plays the stretch in the jammer, the defender's
-    ``skip`` plays it in the defender, or its ``record_deliveries`` while
-    hopping is held, its slots are added to ``delivered`` at once, and its
-    last emission becomes the previous slot's; a stretch of no slots
-    changes nothing. A stretch never crosses a segment cut, so phase starts
-    and trace samples see the slots they would see otherwise.
+    segment and the defender's ``steady`` horizon. It plays the stretch in
+    the jammer, the defender's ``skip`` plays it in the defender, or its
+    ``record_deliveries`` while hopping is held, its slots are added to
+    ``delivered`` at once, and its last emission becomes the previous
+    slot's; a stretch of no slots changes nothing. A stretch never crosses
+    a segment cut, so phase starts and trace samples see the slots they
+    would see otherwise.
     """
     validate(config)
     if seed is None:
@@ -158,8 +159,6 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
         agent = attacker if slot >= attack_start else _SILENT
         step = agent.step
         quiet = agent.quiet
-        # Asked once per segment, so a jammer without a closed form costs the loop nothing.
-        fast = lossless and agent.fast_forwards
         while slot < stop:
             for slot in range(slot + 1, stop + 1):
                 tx = advance(emit)
@@ -178,7 +177,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
                         jammed += 1
                 if sense is not None:
                     observe(sense == tx)
-                if fast and slot_delivered:
+                if lossless and slot_delivered:
                     # The victim stays on tx for its steady horizon, and the
                     # send queue stays empty for as long as the jammer
                     # misses it.
@@ -214,8 +213,6 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
 
 class _Silent(Jammer):
     """The attacker's stand-in before the attack starts: no emission, no sensing, quiet throughout."""
-
-    fast_forwards = True
 
     def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
         return steady(limit), None

@@ -391,19 +391,22 @@ def observable(jammer, upcoming):
     A random jammer's channels to come stand in for its block, cursor and
     generator, ``upcoming`` of them: a block read ahead sits behind the
     unspent channels, so only the order they come in can be compared. A
-    bandit's sampler has no ``__eq__``: its posteriors, windows and unspent
-    samples per state stand in for it, and its generator's state for the
-    generator.
+    bandit may have selected its next arm already: a copy of it after its
+    next step stands in for it, with the arm that step plays. Its sampler
+    has no ``__eq__``: its posteriors, windows and unspent samples per state
+    stand in for it, and its generator's state for the generator.
     """
     if isinstance(jammer, BanditJammer):
-        sampler = jammer.sampler
+        twin = clone(jammer)
+        arm = twin.step(0)
+        sampler = twin.sampler
         return {
+            "sensing_channel": jammer.sensing_channel,
+            "next": arm,
             "arms": sampler.arms,
             "windows": [list(history) for history in sampler._history],
             "pool": {state: list(store) for state, store in sampler._pool.items() if store},
-            "next": jammer._next,
-            "sensing_channel": jammer.sensing_channel,
-            "rng": jammer._rng.bit_generator.state,
+            "rng": twin._rng.bit_generator.state,
         }
     if not isinstance(jammer, RandomJammer):
         return vars(clone(jammer))
@@ -536,24 +539,39 @@ def test_oracle_quiet_is_its_silent_slots_played_one_by_one(num_channels, burst,
 @settings(max_examples=30)
 @given(runs=VICTIM_RUNS, victim=st.integers(0, 1023))
 def test_bandit_quiet_is_its_harmless_slots_played_one_by_one(num_channels, runs, victim):
-    # Misses rewarded 0 and the next arm selected, slot after slot; the
-    # first slot selects the arm the stretch starts from.
+    # Misses rewarded 0 and the next arm selected, slot after slot, after
+    # at least one slot played one by one, as in a run.
     j = build(BanditJammer, num_channels=num_channels)
     warm_up(j, [(victim, 1), *runs], num_channels)
     check_quiet(j, victim % num_channels, 4 * num_channels)
+
+
+def count_selections(jammer):
+    """Count the bandit's selections from now on: a list holding the count."""
+    selections = [0]
+    select_arm = jammer.sampler.select_arm
+
+    def counted(rng):
+        selections[0] += 1
+        return select_arm(rng)
+
+    jammer.sampler.select_arm = counted
+    return selections
 
 
 def test_bandit_quiet_with_its_next_arm_on_the_victim_asks_nothing():
     j = build(BanditJammer, seed=5)
     for _ in range(400):
         drive(j, 4)
-    assert j._next == 4
     before = observable(j, 0)
+    selections = count_selections(j)
     steady = Steady()
     assert j.quiet(4, steady, 10) == (0, None)
     assert not steady.asked
     assert observable(j, 0) == before
+    # The next slot plays the arm quiet selected and selects no other.
     assert j.step(4) == 4
+    assert selections == [1]
 
 
 def test_bandit_quiet_within_a_horizon_of_0_leaves_the_jammer_as_it_was():
@@ -561,7 +579,7 @@ def test_bandit_quiet_within_a_horizon_of_0_leaves_the_jammer_as_it_was():
     j = build(BanditJammer, seed=3)
     for _ in range(30):
         drive(j, 0)
-    victim = (j._next + 1) % 12
+    victim = (clone(j).step(0) + 1) % 12
     before = observable(j, 0)
     steady = Steady(0)
     assert j.quiet(victim, steady, 10) == (0, None)
@@ -572,15 +590,40 @@ def test_bandit_quiet_within_a_horizon_of_0_leaves_the_jammer_as_it_was():
 def test_building_a_bandit_draws_nothing(counting_rng):
     j = make_attacker(ScenarioConfig(attacker="bandit"), counting_rng)
     assert not counting_rng.calls
-    # The first step selects; then each observe selects the next slot's
-    # arm, and step plays it without drawing.
-    arm = j.step(0)
-    drawn = counting_rng.calls["beta"]
-    assert drawn > 0
-    assert j.step(0) == arm
-    assert counting_rng.calls["beta"] == drawn
-    j.observe(False)
-    assert j.step(0) == j._next
+    j.step(0)
+    assert counting_rng.calls["beta"] > 0
+
+
+@pytest.mark.parametrize("cap", [1, 3, None])
+def test_every_slot_of_a_bandit_stretch_is_one_step_and_one_selection(cap):
+    # Each slot quiet plays goes through the jammer's step and selects once,
+    # and the arm selected for the slot after the stretch is played by the
+    # next step, which selects nothing; a stretch cut by the horizon selects
+    # no arm past it.
+    j = build(BanditJammer, seed=2)
+    for _ in range(50):
+        drive(j, 7)
+    selections = count_selections(j)
+    steps = [0]
+    step = j.step
+
+    def counted_step(victim_channel):
+        steps[0] += 1
+        return step(victim_channel)
+
+    j.step = counted_step
+    victim = 11
+    played, _ = j.quiet(victim, Steady(cap), 60)
+    assert steps == [played]
+    if cap is None:
+        # The stretch ends where the next arm is the victim's channel.
+        assert played > 0 and j._next == victim
+        assert selections == [played + 1]
+    else:
+        assert played == cap and j._next is None
+        assert selections == [played]
+    j.step(victim)
+    assert steps == [played + 1] and selections == [played + 1]
 
 
 def test_random_quiet_reads_the_next_block_behind_the_unspent_channels():
@@ -676,6 +719,5 @@ def test_reactive_quiet_scans_past_channel_0_to_the_victim(num_channels):
 def test_jammers_without_a_closed_form_play_no_quiet_slot():
     j = Jammer()
     steady = Steady()
-    assert not j.fast_forwards
     assert j.quiet(0, steady, 10) == (0, None)
     assert not steady.asked

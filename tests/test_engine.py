@@ -827,30 +827,33 @@ def test_smart_and_lossy_runs_play_every_slot(fast_forward, name, changes):
 @pytest.mark.parametrize("defender", list(DEFENDERS))
 def test_every_bandit_selection_goes_through_the_samplers_instance(monkeypatch, defender):
     # The benchmark's tracer hands its counting generator only to the
-    # sampler instance's select_arm. Every slot the bandit plays, one by one
-    # or in a stretch, updates once and selects its successor once, and the
-    # first slot selects its own arm: a stretch that called the class's
-    # methods would leave these counts short.
+    # sampler instance's select_arm, and expects one selection per step.
+    # Every slot the bandit plays, one by one or in a stretch, goes through
+    # its step and selects and updates once: a stretch that called the
+    # class's methods, or selected an arm no slot plays, would change these
+    # counts.
     calls = Counter()
     make = engine.make_attacker
 
+    def count(obj, method, name):
+        def counted(*args, _method=getattr(obj, method)):
+            calls[name] += 1
+            return _method(*args)
+
+        setattr(obj, method, counted)
+
     def make_attacker(config, rng):
         attacker = make(config, rng)
-        sampler = attacker.sampler
+        count(attacker, "step", "step")
         for method in ("select_arm", "update"):
-
-            def counted(*args, _method=getattr(sampler, method), _name=method):
-                calls[_name] += 1
-                return _method(*args)
-
-            setattr(sampler, method, counted)
+            count(attacker.sampler, method, method)
         return attacker
 
     monkeypatch.setattr(engine, "make_attacker", make_attacker)
     config = ScenarioConfig(attacker="bandit", defender=defender)
     played = config.num_slots - config.attack_start_slot
     run_scenario(config, seed=1)
-    assert calls == {"select_arm": played + 1, "update": played}
+    assert calls == {"step": played, "select_arm": played, "update": played}
 
 
 def test_every_name_the_benchmark_tracer_wraps_is_called(monkeypatch, tmp_path):
