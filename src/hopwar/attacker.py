@@ -48,26 +48,34 @@ class Jammer:
     transmission. Sensing needs no acknowledgment traffic: energy on the
     channel is enough, so a successful jam still reads as a hit.
 
+    ``peek(victim_channel)`` returns what the next ``step(victim_channel)``
+    will return, without playing the slot. It may draw or choose that
+    action ahead, as ``step`` would, but calling it again draws and chooses
+    nothing more.
+
     ``quiet(victim_channel, steady, limit)`` fast-forwards a harmless
     stretch: coming slots in which the jammer does not emit on the victim's
     channel. The engine calls it after a delivered slot, while the victim
-    stays on ``victim_channel`` and every packet gets through.
-    ``steady(n)`` is the defender's horizon, how many of the coming ``n``
-    slots leave the victim on its channel, and can cost the defender work:
-    a jammer asks it only once it knows it has a harmless slot to play, so
-    one about to hit returns ``(0, None)`` without asking. ``quiet`` plays
-    the coming slots for as long as ``step`` would not return
+    stays on ``victim_channel``, every packet gets through and a slot of the
+    segment is left to play. ``steady(n)`` is the defender's horizon, how
+    many of the coming ``n`` slots leave the victim on its channel, and can
+    cost the defender work, so ``quiet`` asks it only once ``peek`` says the
+    next slot misses: one about to hit returns ``(0, None)`` without asking.
+    ``quiet`` plays the coming slots for as long as ``peek`` is not
     ``victim_channel``, at most ``steady(limit)`` of them, and returns
     ``(slots, emit)``: how many it played and what the last of them emitted.
     Those slots must leave the jammer, ``sensing_channel`` included, as
     that many rounds of ``step(victim_channel)`` and, while
     ``sensing_channel`` is set, ``observe(sensing_channel == victim_channel)``
-    would, as far as the coming slots can tell: ``quiet`` may have chosen
-    the next slot's action already, as ``step`` would. The slot after the
-    stretch is played by ``step``.
+    would, as far as the coming slots can tell. The slot after the stretch
+    is played by ``step``.
 
-    The base takes no arguments, emits nothing and senses nothing, and its
-    ``quiet`` plays no slot.
+    This base's ``quiet`` plays exactly those rounds, slot by slot, through
+    the instance's ``step``, ``observe`` and ``peek``, so a strategy needs
+    only those three. A strategy that overrides ``quiet`` does so with a
+    closed form that plays the same slots faster.
+
+    The base takes no arguments, emits nothing and senses nothing.
     """
 
     def __init__(self) -> None:
@@ -81,8 +89,25 @@ class Jammer:
     def observe(self, sensed_busy: bool) -> None:
         pass
 
+    def peek(self, victim_channel: int) -> int | None:
+        return None
+
     def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
-        return 0, None
+        if self.peek(victim_channel) == victim_channel:
+            return 0, None
+        slots = steady(limit)
+        if not slots:
+            return 0, None
+        step, observe, peek = self.step, self.observe, self.peek
+        played = 0
+        while True:
+            emit = step(victim_channel)
+            sense = self.sensing_channel
+            if sense is not None:
+                observe(sense == victim_channel)
+            played += 1
+            if played == slots or peek(victim_channel) == victim_channel:
+                return played, emit
 
 
 class RandomJammer(Jammer):
@@ -110,6 +135,12 @@ class RandomJammer(Jammer):
             block = self._block = self._rng.integers(0, self.num_channels, _RANDOM_BLOCK).tolist()
             self._next = 1
             return block[0]
+
+    def peek(self, victim_channel: int) -> int | None:
+        # The next step, block draw included, with the channel put back unspent.
+        channel = self.step(victim_channel)
+        self._next -= 1
+        return channel
 
     def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
         """Spend the channels before the victim's next one, at most ``steady(limit)`` of them.
@@ -169,6 +200,9 @@ class ReactiveJammer(Jammer):
 
     def step(self, victim_channel: int) -> int | None:
         return self.sensing_channel if self.attacking else None
+
+    # Its step changes nothing: the emission is fixed once the last slot is observed.
+    peek = step
 
     def observe(self, sensed_busy: bool) -> None:
         if sensed_busy:
@@ -240,20 +274,19 @@ class BanditJammer(Jammer):
     evidence must age out); beyond that there are no mode switches and no
     thresholds.
 
-    Each slot selects its own arm once. ``quiet`` selects the next slot's
-    arm before it asks the defender anything, so it can tell a slot about
-    to hit; ``step`` then plays that arm instead of selecting another. A
-    stretch plays each harmless slot through ``step`` and rewards its arm 0,
-    and selects the next slot's arm only while the stretch may go on, so the
-    sampler sees the select, update, select... order of slots played one by
-    one and every selection is a slot's.
+    Each slot selects its own arm once. ``peek`` selects the next slot's
+    arm ahead, and ``step`` then plays that arm instead of selecting
+    another. ``quiet`` keeps its own copy of the base's loop, which costs
+    less per slot, and selects the next slot's arm only while the stretch
+    may go on, so the sampler sees the select, update, select... order of
+    slots played one by one and every selection is a slot's.
     """
 
     def __init__(self, config, rng: np.random.Generator) -> None:
         super().__init__()
         self.sampler = ThompsonSampler(config.num_channels, BANDIT_WINDOW_PLAYS)
         self._rng = rng
-        # The next slot's arm when ``quiet`` has selected it, else None.
+        # The next slot's arm when ``peek`` has selected it, else None.
         self._next: int | None = None
 
     def step(self, victim_channel: int) -> int | None:
@@ -268,6 +301,12 @@ class BanditJammer(Jammer):
     def observe(self, sensed_busy: bool) -> None:
         self.sampler.update(self.sensing_channel, sensed_busy)
 
+    def peek(self, victim_channel: int) -> int | None:
+        arm = self._next
+        if arm is None:
+            arm = self._next = self.sampler.select_arm(self._rng)
+        return arm
+
     def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
         """Miss on until the next arm is the victim's channel, at most ``steady(limit)`` slots.
 
@@ -276,15 +315,14 @@ class BanditJammer(Jammer):
         sampler's instance attributes, so a wrapper set on the sampler sees
         every one.
         """
-        sampler = self.sampler
-        select_arm, rng = sampler.select_arm, self._rng
-        # A stretch follows a played slot, whose step left no arm selected.
-        arm = self._next = select_arm(rng)
+        arm = self.peek(victim_channel)
         if arm == victim_channel:
             return 0, None
         slots = steady(limit)
         if not slots:
             return 0, None
+        sampler = self.sampler
+        select_arm, rng = sampler.select_arm, self._rng
         step, update = self.step, sampler.update
         played = 1
         while True:
@@ -322,6 +360,11 @@ class PhasedJammer(Jammer):
     channel other than ``_best``, after a miss on ``_best`` breaks either
     bound, and at the end of every listening phase, the one a retrain starts
     included.
+
+    ``peek`` looks at a pending re-rank without recording it, so it stays
+    idempotent. The base's ``quiet`` plays its harmless stretches, listening
+    slots, retrains and probes included, one by one through the instance's
+    ``step`` and ``observe``, as the engine would.
     """
 
     def __init__(self, config, rng: np.random.Generator) -> None:
@@ -407,64 +450,14 @@ class PhasedJammer(Jammer):
             est.clear()
             self._est_sum = 0
 
-    def _target(self) -> int:
-        """The channel the next attacking slot emits on; a pending re-rank is looked at, not recorded."""
+    def peek(self, victim_channel: int) -> int | None:
+        if self.listening:
+            return None
         counts = self.counts
         best = self._best
         if best < 0:
             best = counts.index(max(counts))
         return best if counts[best] > 0.0 else self._probe
-
-    def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
-        """Listen and miss on until the slot that would jam the victim, at most ``steady(limit)`` slots.
-
-        A listening phase is played in closed form. Attacking misses are
-        played slot by slot by ``step`` and ``observe(False)``, a retrain and
-        a drained map's probes included. They are called on the class, not
-        the instance, so a wrapper set on the instance sees only the slots
-        the engine plays one by one.
-        """
-        if not self.listening and self._target() == victim_channel:
-            return 0, None
-        slots = steady(limit)
-        played = 0
-        emit = None
-        while played < slots:
-            if self.listening:
-                played += self._listen(victim_channel, slots - played)
-                emit = None
-                continue
-            if self._target() == victim_channel:
-                break
-            emit = PhasedJammer.step(self, victim_channel)
-            PhasedJammer.observe(self, False)
-            played += 1
-        return played, emit
-
-    def _listen(self, victim_channel: int, limit: int) -> int:
-        """Sweep on through the listening phase, at most ``limit`` slots; return how many.
-
-        The counts of a listening phase are whole numbers, as the phase
-        starts from an empty map and adds ones, so adding a stretch's hits
-        at once and then capping gives the float that capping slot by slot
-        would.
-        """
-        slots = min(limit, self._listen_left)
-        num_channels = self.num_channels
-        sweep = self._sweep
-        # The stretch senses the victim's channel first after ``first`` slots,
-        # then once every ``num_channels``.
-        first = (victim_channel - sweep) % num_channels
-        if first < slots:
-            count = self.counts[victim_channel] + (1 + (slots - 1 - first) // num_channels)
-            self.counts[victim_channel] = count if count < PHASED_COUNT_CAP else PHASED_COUNT_CAP
-        self.sensing_channel = (sweep + slots - 1) % num_channels
-        self._sweep = (sweep + slots) % num_channels
-        self._listen_left -= slots
-        if self._listen_left <= 0:
-            self.listening = False
-            self._best = -1
-        return slots
 
 
 class OracleJammer(Jammer):
@@ -490,6 +483,9 @@ class OracleJammer(Jammer):
         position = self._position
         self._position = position + 1 if position + 1 < self._cycle else 0
         return victim_channel if position < self.burst_slots else None
+
+    def peek(self, victim_channel: int) -> int | None:
+        return victim_channel if self._position < self.burst_slots else None
 
     def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
         """Sit out the rest of the cooldown, at most ``steady(limit)`` slots."""

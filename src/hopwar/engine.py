@@ -9,19 +9,20 @@ start of the next slot, and the attacker's knowledge always trails the slot
 it acted in. A run keeps counters, not per-slot series.
 
 Slots are played one by one, except a harmless stretch in a lossless run:
-after a delivered slot, the jammer's ``quiet`` plays in closed form the
-coming slots in which it does not emit on the victim's channel, within the
-defender's ``steady`` horizon of slots that leave the victim on its
-channel, and the defender's ``skip`` plays those at once. Without random
-loss such a slot is sure to deliver and draws nothing, and ``quiet`` and
-``skip`` leave jammer and defender as the slots would, so no output
-changes: the random hopper only ticks its clock, the smart one runs its
-rehome timer, spends its probe coins and replays its home tallies. A lossy
-slot draws the phy's generator, so lossy runs play every slot. Only the
-slots played one by one call ``observe``, ``advance`` and
-``record_and_detect``, and ``step`` but for the bandit's: its stretch plays
-each slot through its own ``step``, and selects and updates through its
-sampler, once per slot.
+after a delivered slot that is not its segment's last, the jammer's
+``quiet`` plays the coming slots in which it does not emit on the victim's
+channel, within the defender's ``steady`` horizon of slots that leave the
+victim on its channel, and the defender's ``skip`` plays those at once.
+Without random loss such a slot is sure to deliver and draws nothing, and
+``quiet`` and ``skip`` leave jammer and defender as the slots would, so no
+output changes: the random hopper only ticks its clock, the smart one runs
+its rehome timer, spends its probe coins and replays its home tallies. A
+lossy slot draws the phy's generator, so lossy runs play every slot. Only
+the slots played one by one call ``advance`` and ``record_and_detect``.
+The random, reactive and oracle jammers play their stretches in closed
+form; the phased jammer and the silent stand-in play each slot through
+their own ``step`` and ``observe``, and the bandit through its own
+``step`` and its sampler's ``select_arm`` and ``update``.
 
 All randomness flows from the run seed through fixed per-component streams
 (defender 0, attacker 1, phy 2), so a run is a pure function of its config
@@ -91,9 +92,10 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     per-slot loop tests no slot number. Each slot hands the defender the
     previous slot's emission and the attacker the slot's transmit channel.
 
-    When a slot ends delivered and ``loss_prob`` is 0, the attacker's
-    ``quiet`` is asked for the harmless stretch that follows, within the
-    segment and the defender's ``steady`` horizon. It plays the stretch in
+    When a slot other than a segment's last ends delivered and
+    ``loss_prob`` is 0, the attacker's ``quiet`` is asked for the harmless
+    stretch that follows, within the segment and the defender's ``steady``
+    horizon. It plays the stretch in
     the jammer, the defender's ``skip`` plays it in the defender, or its
     ``record_deliveries`` while hopping is held, its slots are added to
     ``delivered`` at once, and its last emission becomes the previous
@@ -177,7 +179,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
                         jammed += 1
                 if sense is not None:
                     observe(sense == tx)
-                if lossless and slot_delivered:
+                if lossless and slot_delivered and slot < stop:
                     # The victim stays on tx for its steady horizon, and the
                     # send queue stays empty for as long as the jammer
                     # misses it.
@@ -211,14 +213,8 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None, collect_trace:
     )
 
 
-class _Silent(Jammer):
-    """The attacker's stand-in before the attack starts: no emission, no sensing, quiet throughout."""
-
-    def quiet(self, victim_channel: int, steady, limit: int) -> tuple[int, int | None]:
-        return steady(limit), None
-
-
-_SILENT = _Silent()
+# The attacker's stand-in before the attack starts: no emission, no sensing.
+_SILENT = Jammer()
 
 
 # Each mean column of summary.csv and the RunMetrics value it averages over a

@@ -716,8 +716,64 @@ def test_reactive_quiet_scans_past_channel_0_to_the_victim(num_channels):
     assert (j.attacking, j.sensing_channel) == (True, 1)
 
 
-def test_jammers_without_a_closed_form_play_no_quiet_slot():
-    j = Jammer()
-    steady = Steady()
-    assert j.quiet(0, steady, 10) == (0, None)
-    assert not steady.asked
+def test_the_base_quiet_plays_the_silent_stand_ins_slots_one_by_one():
+    # The base's generic loop plays every slot of a jammer that never
+    # emits, up to the limit or the defender's horizon.
+    assert check_quiet(Jammer(), 0, 12) == 12
+
+
+# --- peek and quiet: the contract every strategy keeps ------------------------
+
+# Short phases, so warm-ups leave each jammer camping or scanning, listening
+# or attacking, retraining, or anywhere in its duty cycle.
+CONTRACT_KNOBS = dict(
+    idle_trigger_slots=4,
+    reactive_dwell_slots=3,
+    listen_len_slots=30,
+    eval_len_slots=20,
+    retrain_trigger=0.3,
+    oracle_burst_slots=5,
+    oracle_cooldown_slots=7,
+)
+
+
+def warmed_up(name, num_channels, runs, victim):
+    """An ``ATTACKERS`` entry built with ``CONTRACT_KNOBS`` after a warm-up that ends with a slot on ``victim``."""
+    j = build(ATTACKERS[name], num_channels=num_channels, **CONTRACT_KNOBS)
+    warm_up(j, [*runs, (victim, 1)], num_channels)
+    return j
+
+
+@pytest.mark.parametrize("name", list(ATTACKERS))
+@settings(max_examples=40)
+@given(num_channels=st.sampled_from((2, 12)), runs=VICTIM_RUNS, victim=st.integers(0, 1023))
+def test_peek_is_idempotent_and_the_next_step_plays_it(name, num_channels, runs, victim):
+    victim %= num_channels
+    j = warmed_up(name, num_channels, runs, victim)
+    upcoming = 2 * attacker_module._RANDOM_BLOCK
+    once, twice = clone(j), clone(j)
+    emit = once.peek(victim)
+    assert twice.peek(victim) == emit
+    assert twice.peek(victim) == emit
+    assert observable(twice, upcoming) == observable(once, upcoming)
+    assert once.step(victim) == emit
+
+
+@pytest.mark.parametrize("name", list(ATTACKERS))
+@settings(max_examples=40)
+@given(num_channels=st.sampled_from((2, 12)), runs=VICTIM_RUNS, victim=st.integers(0, 1023))
+def test_quiet_twice_leaves_the_jammer_as_quiet_once(name, num_channels, runs, victim):
+    # Two calls with no slot between them: one where the next slot hits the
+    # victim, which asks the defender nothing, and one at a horizon of 0.
+    victim %= num_channels
+    j = warmed_up(name, num_channels, runs, victim)
+    upcoming = 2 * attacker_module._RANDOM_BLOCK
+    hit = clone(j).step(victim)
+    for target, horizon in ((hit, None), (victim, 0)):
+        if target is None:
+            continue
+        once, twice = clone(j), clone(j)
+        assert once.quiet(target, Steady(horizon), 10) == (0, None)
+        for _ in range(2):
+            assert twice.quiet(target, Steady(horizon), 10) == (0, None)
+        assert observable(twice, upcoming) == observable(once, upcoming)
